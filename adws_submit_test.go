@@ -82,15 +82,18 @@ func TestSubmitAfterCloseErrors(t *testing.T) {
 
 // schedulerEvents returns the pool's deterministic scheduling events —
 // task spans, waits, and migrations — normalized for comparison (times
-// zeroed, sorted by task then type then worker). Idle-probe events
-// (steal attempts and failed rounds) depend on wall-clock timing and are
-// excluded; on the workloads below no successful steals occur, so the
-// remaining events fully describe the worker assignment.
+// zeroed, sorted by task then type then worker). What an idle worker does
+// depends on wall-clock timing — how many steal probes it makes and
+// whether it gets as far as parking before work arrives — so steal-probe
+// and park/wake events are excluded; on the workloads below no successful
+// steals occur, so the remaining events fully describe the worker
+// assignment.
 func schedulerEvents(p *Pool) []TraceEvent {
 	var out []TraceEvent
 	for _, ev := range p.Tracer().Events() {
 		switch ev.Type {
-		case trace.EvStealAttempt, trace.EvStealSuccess, trace.EvStealFail:
+		case trace.EvStealAttempt, trace.EvStealSuccess, trace.EvStealFail,
+			trace.EvPark, trace.EvWake:
 			continue
 		}
 		ev.Time = 0
