@@ -87,7 +87,8 @@ func TestSubmitAfterCloseErrors(t *testing.T) {
 // whether it gets as far as parking before work arrives — so steal-probe
 // and park/wake events are excluded; on the workloads below no successful
 // steals occur, so the remaining events fully describe the worker
-// assignment.
+// assignment. Call it after Close: Run and Job.Wait return when the root
+// body finishes, before its worker has recorded the root's task-end.
 func schedulerEvents(p *Pool) []TraceEvent {
 	var out []TraceEvent
 	for _, ev := range p.Tracer().Events() {
@@ -140,8 +141,8 @@ func TestSubmitMatchesRunSingleWorker(t *testing.T) {
 
 	p1 := mk()
 	p1.Run(body)
-	viaRun := schedulerEvents(p1)
 	p1.Close()
+	viaRun := schedulerEvents(p1)
 
 	p2 := mk()
 	j, err := p2.Submit(context.Background(), func(c *Ctx) error { body(c); return nil }, JobHint{Work: 1})
@@ -153,8 +154,8 @@ func TestSubmitMatchesRunSingleWorker(t *testing.T) {
 	if err := j.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	viaSubmit := schedulerEvents(p2)
 	p2.Close()
+	viaSubmit := schedulerEvents(p2)
 
 	if len(viaRun) == 0 {
 		t.Fatal("Run produced no scheduler events")
@@ -205,8 +206,8 @@ func TestSubmitMatchesRunFourWorkers(t *testing.T) {
 
 	p1 := mk()
 	p1.Run(mkBody())
-	viaRun := schedulerEvents(p1)
 	p1.Close()
+	viaRun := schedulerEvents(p1)
 
 	p2 := mk()
 	body := mkBody()
@@ -219,8 +220,8 @@ func TestSubmitMatchesRunFourWorkers(t *testing.T) {
 	if err := j.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	viaSubmit := schedulerEvents(p2)
 	p2.Close()
+	viaSubmit := schedulerEvents(p2)
 
 	if len(viaRun) != len(viaSubmit) {
 		t.Fatalf("event counts differ: Run %d, Submit %d", len(viaRun), len(viaSubmit))

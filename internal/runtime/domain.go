@@ -115,49 +115,30 @@ func (e *entity) stealAny() *task {
 	return t
 }
 
-// domain is one single-level scheduling arena (see the simulator's twin in
-// internal/sim for the full commentary).
+// domain is one single-level scheduling arena: a set of entities plus a
+// policy (ADWS or conventional WS). The root domain exists for the whole
+// pool; multi-level scheduling creates and closes domains as task groups
+// are tied to caches or hierarchies are flattened. The embedded Axis maps
+// between the physical entity indices and the logical axis the domain's
+// distribution ranges live on.
 type domain struct {
-	id        int64
-	adws      bool
-	entities  []*entity
-	offset    int
+	sched.Axis
+	id       int64
+	adws     bool
+	entities []*entity
+	// caches[i] is the cache entity i stands for in a cache-level domain;
+	// nil in worker-level domains.
+	caches    []*topology.Cache
 	level     int
 	flattened bool
 	closed    atomic.Bool
 }
 
-func (d *domain) physical(logical int) int {
-	n := len(d.entities)
-	p := logical % n
-	if p < 0 {
-		p += n
-	}
-	return p
-}
-
-func (d *domain) logicalOf(physical int) int {
-	n := len(d.entities)
-	l := physical
-	for l < d.offset {
-		l += n
-	}
-	for l >= d.offset+n {
-		l -= n
-	}
-	return l
-}
-
-func (d *domain) fullRange() sched.Range {
-	return sched.FullRange(d.offset, len(d.entities))
-}
-
 // mlCache is the per-cache multi-level scheduling state, guarded by
-// Pool.ml.Mutex except where noted.
+// Pool.ml.Mutex except where noted. Who leads the cache is in
+// Pool.ml.lead.
 type mlCache struct {
 	cache *topology.Cache
-	// leader is the worker currently leading this cache (-1 absent).
-	leader int
 	// tied is the group currently tied here (nil if none).
 	tied *taskGroup
 	// entity is this cache's slot in the active domain over its parent's

@@ -5,9 +5,6 @@ import (
 	"github.com/parlab/adws/internal/trace"
 )
 
-// maxStealTries bounds victims tried per findTask call.
-const maxStealTries = 4
-
 // findTask implements GETRUNNABLETASK (paper Fig. 11) for this worker:
 // local pops from the entities the worker acts for, then steals within the
 // current dominant-group steal range (ADWS) or uniformly (WS). minDepth is
@@ -64,14 +61,13 @@ func (w *worker) noteStart(e *entity, t *task) {
 }
 
 // candidates returns the entities this worker may act for, in priority
-// order: live flattened domains (newest first, exclusively while any are
-// live), then the entity of the cache the worker leads.
+// order (sched.ActingOrder): live flattened domains, then the entity of
+// the cache the worker leads.
 func (w *worker) candidates() []*entity {
 	p := w.pool
 	if !p.policy.isML() {
 		return []*entity{p.rootDom.entities[w.id]}
 	}
-	var out []*entity
 	w.fdMu.Lock()
 	live := w.fdEnts[:0]
 	for _, ent := range w.fdEnts {
@@ -80,20 +76,14 @@ func (w *worker) candidates() []*entity {
 		}
 	}
 	w.fdEnts = live
-	for i := len(live) - 1; i >= 0; i-- {
-		out = append(out, live[i])
-	}
-	n := len(live)
+	out, alsoLed := sched.ActingOrder(live)
 	w.fdMu.Unlock()
-	if n > 0 {
-		// One flattened group at a time per cache: a leader inside a live
-		// flattened domain must not start other tasks at its cache level.
+	if !alsoLed {
 		return out
 	}
 	p.ml.Lock()
-	if w.leads != nil && w.leads.entity != nil && w.leads.leader == w.id {
-		ent := w.leads.entity
-		if !ent.dom.closed.Load() {
+	if c := p.ml.lead.Leads(w.id); c != nil {
+		if ent := p.ml.caches[c.Level][c.Index].entity; ent != nil && !ent.dom.closed.Load() {
 			out = append(out, ent)
 		}
 	}
@@ -101,140 +91,85 @@ func (w *worker) candidates() []*entity {
 	return out
 }
 
-// trySteal attempts a bounded number of random steals for entity ent.
+// stealEvent stamps and records a steal-probe event if a sink wants it;
+// t is the stolen task of a success event, nil otherwise.
+func (w *worker) stealEvent(ev trace.Event, t *task) {
+	if !w.wantEv(ev.Type, ev.Depth) {
+		return
+	}
+	ev.Time = now()
+	if t != nil {
+		ev.Task, ev.Job = t.seq, t.jobID()
+	}
+	w.emit(ev, ev.Depth)
+}
+
+// trySteal makes one bounded round of random steal probes for entity ent:
+// inside the dominant group's steal range under ADWS (sched.PlanSteal),
+// uniformly over the domain under WS.
 func (w *worker) trySteal(ent *entity, minDepth int) *task {
 	d := ent.dom
-	n := len(d.entities)
-	if n <= 1 {
-		return nil
-	}
-	m := w.pool.metrics
+	timed := w.pool.metrics != nil
+	var probeStart int64
 	if d.adws {
-		anchor := ent.lastGroup.Load()
-		if anchor == nil {
-			return nil // not dominated: no stealing (Fig. 11 line 40)
-		}
-		self := d.logicalOf(ent.idx)
-		sr, ok := sched.CurrentStealRange(anchor, self)
+		plan, ok := sched.PlanSteal(ent.lastGroup.Load(), d.Axis, ent.idx, minDepth)
 		if !ok {
 			return nil
 		}
-		nv := sr.NumVictims(self)
-		if nv <= 0 {
-			return nil
-		}
-		md := sr.MinDepth
-		if minDepth > md {
-			md = minDepth
-		}
-		// The steal range [Low, High] is inclusive; events carry it
-		// half-open as [Low, High+1).
-		srLo, srHi := float64(sr.Low), float64(sr.High)+1
-		tries := maxStealTries
-		if tries > nv {
-			tries = nv
-		}
-		for a := 0; a < tries; a++ {
+		ev := trace.Event{Self: int32(plan.Self), Depth: int32(plan.MinDepth)}
+		ev.RangeLo, ev.RangeHi = plan.HalfOpen()
+		for a := 0; a < plan.Tries; a++ {
 			w.stats.stealAttempts.Add(1)
-			var probeStart int64
-			if m != nil {
+			if timed {
 				probeStart = now()
 			}
-			v := sr.Victim(self, w.rng.Intn(nv))
-			if w.wantEv(trace.EvStealAttempt, int32(md)) {
-				w.emit(trace.Event{Type: trace.EvStealAttempt, Time: now(),
-					Self: int32(self), Victim: int32(v), Depth: int32(md),
-					RangeLo: srLo, RangeHi: srHi}, int32(md))
+			v := plan.Draw(w.rng)
+			ev.Type, ev.Victim = trace.EvStealAttempt, int32(v.Logical)
+			w.stealEvent(ev, nil)
+			var t *task
+			if v.Migration {
+				t = d.entities[v.Physical].stealMigration(plan.MinDepth)
 			}
-			vp := d.physical(v)
-			if vp == ent.idx {
-				w.noteStealProbe(probeStart)
-				continue
-			}
-			ve := d.entities[vp]
-			if sr.MigrationStealable(v) {
-				if t := ve.stealMigration(md); t != nil {
-					w.noteSteal(t)
-					w.noteStealProbe(probeStart)
-					if w.wantEv(trace.EvStealSuccess, int32(md)) {
-						w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
-							Self: int32(self), Victim: int32(v), Depth: int32(md),
-							Task: t.seq, Job: t.jobID(), RangeLo: srLo, RangeHi: srHi}, int32(md))
-					}
-					rebase(t, self, d)
-					return t
-				}
-			}
-			if sr.PrimaryStealable(v) {
-				if t := ve.stealPrimary(md); t != nil {
-					w.noteSteal(t)
-					w.noteStealProbe(probeStart)
-					if w.wantEv(trace.EvStealSuccess, int32(md)) {
-						w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
-							Self: int32(self), Victim: int32(v), Depth: int32(md),
-							Task: t.seq, Job: t.jobID(), RangeLo: srLo, RangeHi: srHi}, int32(md))
-					}
-					rebase(t, self, d)
-					return t
-				}
+			if t == nil && v.Primary {
+				t = d.entities[v.Physical].stealPrimary(plan.MinDepth)
 			}
 			w.noteStealProbe(probeStart)
+			if t != nil {
+				w.noteSteal(t)
+				ev.Type = trace.EvStealSuccess
+				w.stealEvent(ev, t)
+				t.inMigration = false
+				t.rng = d.Rebase(t.rng, plan.Self)
+				return t
+			}
 		}
-		if w.wantEv(trace.EvStealFail, int32(md)) {
-			w.emit(trace.Event{Type: trace.EvStealFail, Time: now(),
-				Self: int32(self), Depth: int32(md), RangeLo: srLo, RangeHi: srHi}, int32(md))
-		}
+		ev.Type, ev.Victim = trace.EvStealFail, 0
+		w.stealEvent(ev, nil)
 		return nil
 	}
-	tries := maxStealTries
-	if tries > n-1 {
-		tries = n - 1
+	tries := sched.UniformTries(d.N)
+	if tries <= 0 {
+		return nil
 	}
+	ev := trace.Event{Self: int32(ent.idx)}
 	for a := 0; a < tries; a++ {
 		w.stats.stealAttempts.Add(1)
-		var probeStart int64
-		if m != nil {
+		if timed {
 			probeStart = now()
 		}
-		v := w.rng.Intn(n - 1)
-		if v >= ent.idx {
-			v++
-		}
-		if w.wantEv(trace.EvStealAttempt, 0) {
-			w.emit(trace.Event{Type: trace.EvStealAttempt, Time: now(),
-				Self: int32(ent.idx), Victim: int32(v)}, 0)
-		}
-		if t := d.entities[v].stealAny(); t != nil {
+		v := sched.UniformVictim(w.rng, d.N, ent.idx)
+		ev.Type, ev.Victim = trace.EvStealAttempt, int32(v)
+		w.stealEvent(ev, nil)
+		t := d.entities[v].stealAny()
+		w.noteStealProbe(probeStart)
+		if t != nil {
 			w.noteSteal(t)
-			w.noteStealProbe(probeStart)
-			if w.wantEv(trace.EvStealSuccess, 0) {
-				w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
-					Self: int32(ent.idx), Victim: int32(v), Task: t.seq, Job: t.jobID()}, 0)
-			}
+			ev.Type = trace.EvStealSuccess
+			w.stealEvent(ev, t)
 			return t
 		}
-		w.noteStealProbe(probeStart)
 	}
-	if tries > 0 && w.wantEv(trace.EvStealFail, 0) {
-		w.emit(trace.Event{Type: trace.EvStealFail, Time: now(),
-			Self: int32(ent.idx)}, 0)
-	}
+	ev.Type, ev.Victim = trace.EvStealFail, 0
+	w.stealEvent(ev, nil)
 	return nil
-}
-
-// rebase re-owns a stolen task's range onto the thief (see DESIGN.md on
-// steal semantics).
-func rebase(t *task, thiefLogical int, d *domain) {
-	t.inMigration = false
-	width := t.rng.Width()
-	frac := t.rng.X - float64(t.rng.Owner())
-	newX := float64(thiefLogical) + frac
-	maxX := float64(d.offset+len(d.entities)) - width
-	if newX > maxX {
-		newX = maxX
-	}
-	if newX < float64(d.offset) {
-		newX = float64(d.offset)
-	}
-	t.rng = sched.Range{X: newX, Y: newX + width}
 }

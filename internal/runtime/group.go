@@ -10,8 +10,10 @@ import (
 // GroupHint carries the programmer hints of the paper's Fig. 2b: the total
 // relative work of the group (w_all) and its working-set size in bytes.
 type GroupHint struct {
-	// Work is the total work hint; zero means unknown (ADWS then assumes
-	// equal work per child).
+	// Work is the total work hint (w_all). Zero means unknown: the number
+	// of children is not known when the first one is spawned, so ADWS
+	// cannot split equally and the first child receives the whole range
+	// (DESIGN.md, deviations).
 	Work float64
 	// Size is the working-set size hint in bytes for multi-level
 	// scheduling; zero means unknown (the group is never tied/flattened).
@@ -34,36 +36,20 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 	dom := c.cur.dom
 	rng := c.cur.rng
 	g.ent = c.entityFor(dom, rng)
-	g.fresh = false
 
 	if p.policy.isML() && !dom.flattened {
-		if nd, nrng, nent := p.mlDecide(c.w, c.cur, h.Size, g); nd != nil {
-			dom, rng, g.ent = nd, nrng, nent
+		if nd, nent := p.mlDecide(c.w, c.cur, h.Size, g); nd != nil {
+			dom, rng, g.ent = nd, nd.FullRange(), nent
 			g.fresh = true
 		}
 	}
 	g.dom = dom
 	g.adws = dom.adws
-	g.iExec = dom.logicalOf(g.ent.idx)
+	g.iExec = dom.LogicalOf(g.ent.idx)
 
 	if g.adws {
 		g.splitter = sched.NewSplitter(rng, h.Work)
-		if rng.IsCrossWorker() {
-			parentNode := c.cur.group
-			if g.fresh || parentNode == nil {
-				g.node = sched.NewRootGroup(rng)
-			} else {
-				g.node = parentNode.NewChildGroup(rng)
-			}
-			g.childGroup = g.node
-			g.childDepth = g.node.Depth()
-		} else {
-			g.childGroup = c.cur.group
-			g.childDepth = c.cur.depth
-			if g.fresh {
-				g.childGroup, g.childDepth = nil, 0
-			}
-		}
+		g.GroupPlacement = sched.PlaceGroup(c.cur.group, c.cur.depth, c.cur.inMigration, rng, g.fresh)
 	}
 	return &TaskGroup{g: g}
 }
@@ -71,7 +57,7 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 // entityFor resolves the entity a task executes on behalf of.
 func (c *Ctx) entityFor(dom *domain, rng sched.Range) *entity {
 	if dom.adws {
-		return dom.entities[dom.physical(rng.Owner())]
+		return dom.entities[dom.Physical(rng.Owner())]
 	}
 	// WS domains have no ranges; use the task's recorded entity, falling
 	// back to the worker's own slot in worker-level domains.
@@ -112,12 +98,12 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 	}
 
 	t.rng = g.splitter.NextChild(work)
-	t.group = g.childGroup
-	t.depth = g.childDepth
-	t.crossWorker = g.node != nil && t.rng.IsCrossWorker()
+	t.group = g.ChildGroup
+	t.depth = g.ChildDepth
+	t.crossWorker = g.CrossWorkerChild(t.rng)
 	switch sched.Classify(t.rng, g.iExec) {
 	case sched.KindMigrate:
-		ent := g.dom.entities[g.dom.physical(t.rng.Owner())]
+		ent := g.dom.entities[g.dom.Physical(t.rng.Owner())]
 		t.ent = ent
 		t.inMigration = true
 		if w := g.parent.w; w.wantEv(trace.EvMigration, t.sdepth) {
@@ -139,7 +125,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 		g.execChild = t
 	case sched.KindLocal:
 		t.ent = g.ent
-		t.inMigration = g.parent.cur.inMigration && !g.fresh
+		t.inMigration = g.LocalInMigration
 		g.ent.push(t, t.inMigration)
 		g.pool.wakeFor(g.ent, t.job)
 	}
@@ -160,7 +146,7 @@ func (tg *TaskGroup) Wait() {
 
 	if w.wantEv(trace.EvWaitEnter, c.cur.sdepth) {
 		w.emit(trace.Event{Type: trace.EvWaitEnter, Time: now(),
-			Task: c.cur.seq, Job: c.cur.jobID(), Depth: int32(g.childDepth)}, c.cur.sdepth)
+			Task: c.cur.seq, Job: c.cur.jobID(), Depth: int32(g.ChildDepth)}, c.cur.sdepth)
 	}
 
 	if ec := g.execChild; ec != nil {
@@ -174,7 +160,7 @@ func (tg *TaskGroup) Wait() {
 	spins := 0
 	var searchStart int64
 	for g.remaining.Load() > 0 {
-		if t := w.findTask(g.childDepth); t != nil {
+		if t := w.findTask(g.ChildDepth); t != nil {
 			if searchStart != 0 {
 				w.stats.waitIdleNS.Add(now() - searchStart)
 				searchStart = 0
@@ -195,7 +181,7 @@ func (tg *TaskGroup) Wait() {
 		// this worker; the recheck inside park closes the race where the
 		// completion landed between findTask and advertising.
 		spins = 0
-		if t := w.park(g, g.childDepth); t != nil {
+		if t := w.park(g, g.ChildDepth); t != nil {
 			if searchStart != 0 {
 				w.stats.waitIdleNS.Add(now() - searchStart)
 				searchStart = 0
@@ -212,11 +198,11 @@ func (tg *TaskGroup) Wait() {
 	w.noteRunAfterWake()
 	if w.wantEv(trace.EvWaitExit, c.cur.sdepth) {
 		w.emit(trace.Event{Type: trace.EvWaitExit, Time: now(),
-			Task: c.cur.seq, Job: c.cur.jobID(), Depth: int32(g.childDepth)}, c.cur.sdepth)
+			Task: c.cur.seq, Job: c.cur.jobID(), Depth: int32(g.ChildDepth)}, c.cur.sdepth)
 	}
 
-	if g.node != nil {
-		g.node.Finish()
+	if g.Node != nil {
+		g.Node.Finish()
 	}
 	if g.tiedTo != nil || g.flattened != nil {
 		p.groupTeardown(g, w)

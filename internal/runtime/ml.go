@@ -26,7 +26,6 @@ func (p *Pool) traceBoundary(w *worker, kind int32, d *domain, level int) {
 //
 //adws:requires(ml)
 func (p *Pool) initTopology() {
-	adws := p.policy.isADWS()
 	m := p.machine
 
 	p.ml.caches = make([][]*mlCache, m.NumLevels())
@@ -34,133 +33,105 @@ func (p *Pool) initTopology() {
 		row := m.LevelCaches(level)
 		p.ml.caches[level] = make([]*mlCache, len(row))
 		for i, c := range row {
-			p.ml.caches[level][i] = &mlCache{cache: c, leader: -1}
+			p.ml.caches[level][i] = &mlCache{cache: c}
 		}
 	}
 
 	if !p.policy.isML() {
-		d := p.newDomain(adws, 0)
+		d := p.newDomain(m.NumWorkers(), 0)
 		d.level = m.MaxLevel()
-		for w := 0; w < m.NumWorkers(); w++ {
-			d.entities = append(d.entities, newEntity(d, w, nil, w))
+		for w := range d.entities {
+			d.entities[w] = newEntity(d, w, nil, w)
 		}
 		p.rootDom = d
 		return
 	}
-
-	maxLevel := m.MaxLevel()
-	for wid := 0; wid < m.NumWorkers(); wid++ {
-		leaf := p.ml.caches[maxLevel][wid]
-		leaf.leader = wid
-		p.workers[wid].leads = leaf
-	}
-	for level := maxLevel - 1; level >= 1; level-- {
-		for i, c := range m.LevelCaches(level) {
-			first := c.Children()[0]
-			child := p.ml.caches[first.Level][first.Index]
-			wid := child.leader
-			child.leader = -1
-			p.ml.caches[level][i].leader = wid
-			p.workers[wid].leads = p.ml.caches[level][i]
-		}
-	}
-	d := p.newDomain(adws, 0)
-	d.level = 1
-	for i, mc := range p.ml.caches[1] {
-		ent := newEntity(d, i, mc, -1)
-		d.entities = append(d.entities, ent)
-		mc.entity = ent
-	}
-	p.rootDom = d
+	p.ml.lead = sched.ElectLeaders(m)
+	p.rootDom = p.newCacheDomain(m.LevelCaches(1), 0)
 }
 
-func (p *Pool) newDomain(adws bool, offset int) *domain {
-	return &domain{id: p.domSeq.Add(1), adws: adws, offset: offset}
+func (p *Pool) newDomain(n, offset int) *domain {
+	return &domain{Axis: sched.Axis{N: n, Offset: offset}, id: p.domSeq.Add(1),
+		adws: p.policy.isADWS(), entities: make([]*entity, n)}
 }
 
-// mlDecide applies the tie/flatten decisions of Fig. 13 + Fig. 15 when a
-// task group with a size hint is created (flatten-first composition; see
-// the simulator twin and DESIGN.md). It returns the new domain, the parent
-// range in it, and the parent's entity in it, or nils to stay.
-func (p *Pool) mlDecide(w *worker, cur *task, size int64, g *taskGroup) (*domain, sched.Range, *entity) {
+// newCacheDomain builds a domain whose entities stand for the caches of
+// row, acted for by each cache's current leader.
+//
+//adws:requires(ml)
+func (p *Pool) newCacheDomain(row []*topology.Cache, offset int) *domain {
+	d := p.newDomain(len(row), offset)
+	d.caches = row
+	d.level = row[0].Level
+	for i, c := range row {
+		mc := p.ml.caches[c.Level][c.Index]
+		d.entities[i] = newEntity(d, i, mc, -1)
+		mc.entity = d.entities[i]
+	}
+	return d
+}
+
+// mlDecide applies the tie/flatten decisions of Fig. 13 + Fig. 15
+// (sched.DecideML) when a task group with a size hint is created. It
+// returns the new domain and the parent's entity in it, or nils to stay.
+func (p *Pool) mlDecide(w *worker, cur *task, size int64, g *taskGroup) (*domain, *entity) {
 	if size <= 0 {
-		return nil, sched.Range{}, nil
+		return nil, nil
 	}
 	p.ml.Lock()
 	defer p.ml.Unlock()
 
 	dom := cur.dom
-	// Cache-hierarchy flattening applies to multi-level ADWS only (§5).
-	if dom.adws && dom.level < p.machine.MaxLevel() && len(dom.entities) > 0 && dom.entities[0].cache != nil {
-		lo := cur.rng.Owner()
-		hi := cur.rng.Last() - 1
-		if hi < lo {
-			hi = lo
-		}
-		var cand []*topology.Cache
-		for l := lo; l <= hi && l-lo < len(dom.entities); l++ {
-			cand = append(cand, dom.entities[dom.physical(l)].cache.cache)
-		}
-		lnext, caches := sched.FlattenOverCaches(p.machine, size, dom.level, cand)
-		if caches != nil && lnext == p.machine.MaxLevel() {
-			return p.flattenLocked(w, caches, g)
+	var span []*topology.Cache
+	if dom.adws && dom.caches != nil {
+		span = dom.FlattenSpan(cur.rng, dom.caches)
+	}
+	// The group may be tied to the cache w leads, unless one already is.
+	var led *mlCache
+	var tieTo *topology.Cache
+	if c := p.ml.lead.Leads(w.id); c != nil {
+		if led = p.ml.caches[c.Level][c.Index]; led.tied == nil {
+			tieTo = c
 		}
 	}
-	c := w.leads
-	if c != nil && c.cache.Level < p.machine.MaxLevel() && c.tied == nil &&
-		size <= c.cache.Capacity && c.leader == w.id {
-		return p.tieLocked(w, c, g)
+	dec := sched.DecideML(p.machine, w.id, size, span, tieTo)
+	var d *domain
+	switch dec.Choice {
+	case sched.MLTie:
+		d = p.tieLocked(w, led, dec, g)
+	case sched.MLFlatten:
+		d = p.flattenLocked(w, dec, g)
+	default:
+		return nil, nil
 	}
-	return nil, sched.Range{}, nil
+	return d, d.entities[dec.Pos]
 }
 
 // tieLocked ties g to cache c; the caller holds p.ml.
 //
 //adws:requires(ml)
-func (p *Pool) tieLocked(w *worker, c *mlCache, g *taskGroup) (*domain, sched.Range, *entity) {
+func (p *Pool) tieLocked(w *worker, c *mlCache, dec sched.MLDecision, g *taskGroup) *domain {
 	c.tied = g
 	g.tiedTo = c
-	children := c.cache.Children()
-	cw := p.machine.CacheOfWorkerAtLevel(w.id, c.cache.Level+1)
-	pos := cw.Index - children[0].Index
-
-	d := p.newDomain(p.policy.isADWS(), pos)
-	d.level = c.cache.Level + 1
-	for i, ch := range children {
-		mc := p.ml.caches[ch.Level][ch.Index]
-		ent := newEntity(d, i, mc, -1)
-		d.entities = append(d.entities, ent)
-		mc.entity = ent
-	}
+	d := p.newCacheDomain(dec.Caches, dec.Pos)
 	c.childDomain = d
-
-	mcw := p.ml.caches[cw.Level][cw.Index]
-	c.leader = -1
-	mcw.leader = w.id
-	w.leads = mcw
-
+	p.ml.lead.Lead(w.id, dec.Caches[dec.Pos])
 	p.traceBoundary(w, trace.BoundaryTie, d, c.cache.Level)
-	return d, d.fullRange(), d.entities[pos]
+	return d
 }
 
 // flattenLocked creates a flattened worker-level domain over leaf caches;
 // the caller holds p.ml.
-func (p *Pool) flattenLocked(w *worker, caches []*topology.Cache, g *taskGroup) (*domain, sched.Range, *entity) {
-	d := p.newDomain(p.policy.isADWS(), 0)
+func (p *Pool) flattenLocked(w *worker, dec sched.MLDecision, g *taskGroup) *domain {
+	d := p.newDomain(len(dec.Caches), dec.Pos)
 	d.level = p.machine.MaxLevel()
 	d.flattened = true
-	pos := 0
-	for i, ch := range caches {
-		wid := ch.FirstWorker()
-		d.entities = append(d.entities, newEntity(d, i, nil, wid))
-		if wid == w.id {
-			pos = i
-		}
+	for i, ch := range dec.Caches {
+		d.entities[i] = newEntity(d, i, nil, ch.FirstWorker())
 	}
-	d.offset = pos
 	g.flattened = d
 	// Publish only after the domain is fully constructed: workers read
-	// d.entities/d.offset without holding p.ml once an entity appears in
+	// d.entities/d.Axis without holding p.ml once an entity appears in
 	// their fdEnts (the per-worker fdMu gives the happens-before edge).
 	for _, ent := range d.entities {
 		ww := p.workers[ent.workerID]
@@ -178,7 +149,7 @@ func (p *Pool) flattenLocked(w *worker, caches []*topology.Cache, g *taskGroup) 
 		}
 	}
 	p.traceBoundary(w, trace.BoundaryFlatten, d, d.level)
-	return d, d.fullRange(), d.entities[pos]
+	return d
 }
 
 // groupTeardown undoes a tie or flattening when the group's Wait completes
@@ -195,11 +166,7 @@ func (p *Pool) groupTeardown(g *taskGroup, w *worker) {
 			c.childDomain.closed.Store(true)
 			c.childDomain = nil
 		}
-		if w.leads != nil && w.leads != c {
-			w.leads.leader = -1
-		}
-		c.leader = w.id
-		w.leads = c
+		p.ml.lead.Lead(w.id, c.cache)
 	}
 	if d := g.flattened; d != nil {
 		g.flattened = nil

@@ -35,14 +35,9 @@ func (p *Pool) SchedSnapshot() obs.SchedSnapshot {
 		if ent := p.snapshotEntity(w); ent != nil {
 			ws.QueueLen = ent.queueLen()
 			if ent.dom.adws {
-				if anchor := ent.lastGroup.Load(); anchor != nil {
-					self := ent.dom.logicalOf(ent.idx)
-					if sr, ok := sched.CurrentStealRange(anchor, self); ok {
-						// The inclusive [Low, High] becomes half-open
-						// [Low, High+1), matching steal events.
-						ws.StealLo = float64(sr.Low)
-						ws.StealHi = float64(sr.High) + 1
-					}
+				self := ent.dom.LogicalOf(ent.idx)
+				if sr, ok := sched.CurrentStealRange(ent.lastGroup.Load(), self); ok {
+					ws.StealLo, ws.StealHi = sr.HalfOpen()
 				}
 			}
 		}

@@ -122,6 +122,9 @@ type Pool struct {
 	ml struct {
 		sync.Mutex
 		caches [][]*mlCache //adws:locked(ml)
+		// lead records which worker leads each cache (nil for
+		// single-level policies).
+		lead *sched.Leadership //adws:locked(ml)
 	}
 
 	// idleWords is the parked-worker bitmask (bit w&63 of word w>>6) and
@@ -258,9 +261,10 @@ type taskGroup struct {
 	// hints
 	workAll float64
 	size    int64
-	// node is the cross-worker group tree node (nil for non-cross groups
-	// or WS domains).
-	node *sched.GroupNode
+	// GroupPlacement holds the group's cross-worker tree node (nil for
+	// non-cross groups) and its children's group, depth and queue family;
+	// it stays zero in WS domains.
+	sched.GroupPlacement
 	// splitter divides the parent range incrementally across Spawn calls.
 	splitter *sched.Splitter
 	// dom is the domain children are spawned into.
@@ -269,9 +273,6 @@ type taskGroup struct {
 	ent *entity
 	// iExec is the parent's logical entity index in dom.
 	iExec int
-	// childDepth and childGroup apply to spawned children.
-	childDepth int
-	childGroup *sched.GroupNode
 	// execChild is the deferred type-(2) child, run first in Wait.
 	execChild *task
 	// remaining counts unfinished children.
@@ -411,15 +412,9 @@ func (p *Pool) SubmitRoot(fn func(*Ctx), lo, hi float64) (*RootJob, error) {
 		return nil, fmt.Errorf("%w: [%v, %v)", ErrBadRange, lo, hi)
 	}
 	d := p.rootDom
-	n := float64(len(d.entities))
-	off := float64(d.offset)
-	rng := sched.Range{X: off + lo*n, Y: off + hi*n}
-	// Keep the owner inside the domain even when lo rounds up to 1.
-	if rng.X > off+n-1 {
-		rng.X = off + n - 1
-	}
+	rng := d.Fraction(lo, hi)
 	j := &RootJob{id: p.jobSeq.Add(1), rng: rng, done: make(chan struct{})}
-	owner := d.entities[d.physical(rng.Owner())]
+	owner := d.entities[d.Physical(rng.Owner())]
 	root := &task{
 		fn: func(c *Ctx) {
 			fn(c)
@@ -570,8 +565,6 @@ type worker struct {
 	pool *Pool
 	rng  *sched.RNG
 
-	// leads is the multi-level cache this worker currently leads.
-	leads *mlCache
 	// fdMu guards fdEnts (flattened-domain entities, newest last).
 	fdMu   sync.Mutex //adws:lockrank(70) mlDecide flattens under Pool.ml (rank 60)
 	fdEnts []*entity  //adws:locked(fdMu)
@@ -719,8 +712,8 @@ func (p *Pool) taskDone(t *task) {
 	if g == nil {
 		return
 	}
-	if t.crossWorker && g.node != nil {
-		g.node.CrossTaskCompleted()
+	if t.crossWorker && g.Node != nil {
+		g.Node.CrossTaskCompleted()
 	}
 	if g.remaining.Add(-1) == 0 && p.nparked.Load() != 0 {
 		if id := g.waiter.Load(); id >= 0 {

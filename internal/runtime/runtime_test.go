@@ -208,7 +208,7 @@ func TestManyChildrenFlatGroup(t *testing.T) {
 }
 
 func TestZeroWorkHints(t *testing.T) {
-	// All-zero hints fall back to equal splitting and must not hang.
+	// All-zero hints give the first child the whole range and must not hang.
 	p := newTestPool(t, ADWS)
 	var count int64
 	p.Run(func(c *Ctx) {

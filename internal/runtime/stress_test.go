@@ -113,13 +113,13 @@ func TestMLLeadershipInvariants(t *testing.T) {
 				if mc.childDomain != nil {
 					t.Errorf("%v: %v still has a child domain", pol, mc.cache)
 				}
-				if mc.leader >= 0 {
-					seen[mc.leader]++
-					if p.workers[mc.leader].leads != mc {
+				if leader := p.ml.lead.Leader(mc.cache); leader >= 0 {
+					seen[leader]++
+					if p.ml.lead.Leads(leader) != mc.cache {
 						t.Errorf("%v: leader of %v does not point back", pol, mc.cache)
 					}
-					if !mc.cache.ContainsWorker(mc.leader) {
-						t.Errorf("%v: %v led by worker %d outside it", pol, mc.cache, mc.leader)
+					if !mc.cache.ContainsWorker(leader) {
+						t.Errorf("%v: %v led by worker %d outside it", pol, mc.cache, leader)
 					}
 				}
 			}

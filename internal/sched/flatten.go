@@ -2,52 +2,25 @@ package sched
 
 import "github.com/parlab/adws/internal/topology"
 
-// FlattenLevel implements cache-hierarchy flattening (paper §5, Fig. 15).
+// FlattenOverCaches implements cache-hierarchy flattening (paper §5,
+// Fig. 15) for a task group with working-set size `size` scheduled at
+// cache level `level`, given the candidate caches of that level its
+// distribution range spans (Axis.FlattenSpan). It decides whether the
+// group should instead be scheduled by a single-level scheduler over a
+// deeper, flattened set of caches.
 //
-// A task group TG with working-set size `size` is being scheduled at cache
-// level `level`, with a distribution range whose integer endpoints are
-// i = floor(x) and j = floor(y) over the level-`level` caches of machine m.
-// The function decides whether TG should instead be scheduled by a
-// single-level scheduler over a deeper, flattened set of caches.
-//
-// The candidate caches at the current level are C[level][i .. max(i, j-1)]
-// (cache j is excluded because it may receive its own level-`level` leaf,
-// which takes priority over flattening by cache i — paper footnote 5). If
-// TG's size fits into their total capacity, deeper levels are examined: as
-// long as the size also fits into the total capacity of all their
-// descendants at the next level, the flatten level advances. The result is
-// the deepest level whose aggregate still holds the working set, plus one
-// (capped at the leaf level): everything below the level that holds the
-// working set is flattened, because single-level ADWS already exploits the
-// hierarchy well when the footprint fits in aggregate cache (§5).
+// If the size fits into the candidates' total capacity, deeper levels are
+// examined: as long as the size also fits into the total capacity of all
+// their descendants at the next level, the flatten level advances. The
+// result is the deepest level whose aggregate still holds the working set,
+// plus one (capped at the leaf level): everything below the level that
+// holds the working set is flattened, because single-level ADWS already
+// exploits the hierarchy well when the footprint fits in aggregate cache
+// (§5).
 //
 // It returns the level to flatten to and the flattened caches, or
-// (level, nil) when no flattening applies and TG should continue to be
-// scheduled at the current level.
-func FlattenLevel(m *topology.Machine, size int64, level, i, j int) (int, []*topology.Cache) {
-	if level >= m.MaxLevel() {
-		return level, nil
-	}
-	hi := j - 1
-	if hi < i {
-		hi = i
-	}
-	row := m.LevelCaches(level)
-	if i < 0 || hi >= len(row) {
-		return level, nil
-	}
-	caches := row[i : hi+1]
-	if size > topology.TotalCapacity(caches) {
-		return level, nil
-	}
-	return FlattenOverCaches(m, size, level, caches)
-}
-
-// FlattenOverCaches is the core of FlattenLevel for an explicit candidate
-// cache set (used by schedulers whose instances wrap cyclically and cannot
-// express the span as a contiguous index range). The candidates must all
-// be at the given level and must already hold `size` in total; otherwise
-// no flattening applies.
+// (level, nil) when no flattening applies and the group should continue
+// to be scheduled at the current level.
 func FlattenOverCaches(m *topology.Machine, size int64, level int, caches []*topology.Cache) (int, []*topology.Cache) {
 	if len(caches) == 0 || size > topology.TotalCapacity(caches) {
 		return level, nil

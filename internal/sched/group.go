@@ -40,6 +40,50 @@ func (g *GroupNode) NewChildGroup(r Range) *GroupNode {
 	return &GroupNode{parent: g, rng: r, depth: g.depth + 1}
 }
 
+// GroupPlacement is where a new task group and its children sit in the
+// cross-worker group tree (paper Fig. 10) and in the queue families.
+type GroupPlacement struct {
+	// Node is the group's own tree node, or nil when its range is not
+	// cross-worker (such groups are not recorded in the tree).
+	Node *GroupNode
+	// ChildGroup and ChildDepth are the enclosing cross-worker group and
+	// the task depth of the group's children.
+	ChildGroup *GroupNode
+	ChildDepth int
+	// LocalInMigration reports whether children kept on the creating
+	// entity go to its migration queues: descendants of a migrated task
+	// stay in the migration family unless stolen (§3.2).
+	LocalInMigration bool
+}
+
+// PlaceGroup places a task group with range r created by a task at depth
+// `depth` of cross-worker group `parent` (nil outside any), delivered
+// through a migration queue or not. fresh marks a group that opened a new
+// scheduling domain (tie or flattening): it starts a new tree at depth 0
+// in the primary family, because its range lives on another axis.
+func PlaceGroup(parent *GroupNode, depth int, inMigration bool, r Range, fresh bool) GroupPlacement {
+	if fresh {
+		parent, depth, inMigration = nil, 0, false
+	}
+	pl := GroupPlacement{ChildGroup: parent, ChildDepth: depth, LocalInMigration: inMigration}
+	if r.IsCrossWorker() {
+		if parent == nil {
+			pl.Node = NewRootGroup(r)
+		} else {
+			pl.Node = parent.NewChildGroup(r)
+		}
+		pl.ChildGroup, pl.ChildDepth = pl.Node, pl.Node.depth
+	}
+	return pl
+}
+
+// CrossWorkerChild reports whether a child with range r counts towards
+// making the group dominant when it completes: a cross-worker task of a
+// cross-worker group.
+func (pl GroupPlacement) CrossWorkerChild(r Range) bool {
+	return pl.Node != nil && r.IsCrossWorker()
+}
+
 // Parent returns the enclosing cross-worker task group, or nil at the root.
 func (g *GroupNode) Parent() *GroupNode { return g.parent }
 
@@ -97,8 +141,6 @@ type StealRange struct {
 	// depth >= MinDepth may be stolen from, so tasks from enclosing groups
 	// are never taken.
 	MinDepth int
-	// group is the dominant group this range was derived from.
-	group *GroupNode
 }
 
 // CurrentStealRange computes entity w's steal range from its current group
@@ -109,16 +151,14 @@ func CurrentStealRange(g *GroupNode, w int) (StealRange, bool) {
 		return StealRange{}, false
 	}
 	r := top.rng
-	return StealRange{
-		Low:      r.Owner(),
-		High:     r.Last(),
-		MinDepth: top.depth,
-		group:    top,
-	}, true
+	return StealRange{Low: r.Owner(), High: r.Last(), MinDepth: top.depth}, true
 }
 
-// Group returns the dominant group the steal range was derived from.
-func (s StealRange) Group() *GroupNode { return s.group }
+// HalfOpen returns the inclusive victim range [Low, High] in the half-open
+// form [Low, High+1) that trace events and introspection snapshots carry.
+func (s StealRange) HalfOpen() (lo, hi float64) {
+	return float64(s.Low), float64(s.High) + 1
+}
 
 // NumVictims returns the number of candidate victims other than w itself.
 func (s StealRange) NumVictims(w int) int {

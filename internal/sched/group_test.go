@@ -100,8 +100,8 @@ func TestCurrentStealRange(t *testing.T) {
 	if sr.MinDepth != 1 {
 		t.Errorf("MinDepth = %d, want 1", sr.MinDepth)
 	}
-	if sr.Group() != g {
-		t.Error("Group() should return the dominant group")
+	if lo, hi := sr.HalfOpen(); lo != 1 || hi != 4 {
+		t.Errorf("HalfOpen = [%v,%v), want [1,4)", lo, hi)
 	}
 
 	// Boundary-entity queue restrictions (§3.2): no stealing from the
@@ -198,4 +198,59 @@ func TestRNGIntnRange(t *testing.T) {
 		}
 	}()
 	r.Intn(0)
+}
+
+func TestPlaceGroup(t *testing.T) {
+	root := NewRootGroup(Range{X: 0, Y: 8})
+	parent := root.NewChildGroup(Range{X: 0, Y: 4}) // depth 1
+	cross, local := Range{X: 1.5, Y: 3.5}, Range{X: 1.2, Y: 1.8}
+	cases := []struct {
+		name        string
+		parent      *GroupNode
+		depth       int
+		inMigration bool
+		r           Range
+		fresh       bool
+		// expectations
+		node       bool
+		nodeParent *GroupNode
+		childDepth int
+		localInMig bool
+	}{
+		{"cross-worker group under a parent group", parent, 1, false, cross, false, true, parent, 2, false},
+		{"cross-worker group outside any group starts a tree", nil, 0, false, cross, false, true, nil, 0, false},
+		{"migrated parent keeps local children in the migration family", parent, 1, true, cross, false, true, parent, 2, true},
+		{"non-cross group inherits group, depth and family", parent, 1, true, local, false, false, nil, 1, true},
+		{"fresh cross-worker group starts a tree at depth 0", parent, 1, true, cross, true, true, nil, 0, false},
+		{"fresh non-cross group has no group, depth 0, primary family", parent, 1, true, local, true, false, nil, 0, false},
+	}
+	for _, c := range cases {
+		pl := PlaceGroup(c.parent, c.depth, c.inMigration, c.r, c.fresh)
+		if (pl.Node != nil) != c.node {
+			t.Errorf("%s: node = %v", c.name, pl.Node)
+			continue
+		}
+		wantGroup := c.parent
+		if c.fresh {
+			wantGroup = nil
+		}
+		if c.node {
+			wantGroup = pl.Node
+			if pl.Node.Parent() != c.nodeParent || pl.Node.Range() != c.r || pl.Node.Depth() != c.childDepth {
+				t.Errorf("%s: node %v under %v, want range %v under %v", c.name, pl.Node, pl.Node.Parent(), c.r, c.nodeParent)
+			}
+		}
+		if pl.ChildGroup != wantGroup || pl.ChildDepth != c.childDepth || pl.LocalInMigration != c.localInMig {
+			t.Errorf("%s: children in %v at depth %d, migration=%v; want %v at %d, %v",
+				c.name, pl.ChildGroup, pl.ChildDepth, pl.LocalInMigration, wantGroup, c.childDepth, c.localInMig)
+		}
+		// Only cross-worker children of a cross-worker group count
+		// towards dominance.
+		if got := pl.CrossWorkerChild(cross); got != c.node {
+			t.Errorf("%s: CrossWorkerChild(cross) = %v, want %v", c.name, got, c.node)
+		}
+		if pl.CrossWorkerChild(local) {
+			t.Errorf("%s: CrossWorkerChild(local) = true", c.name)
+		}
+	}
 }

@@ -47,15 +47,6 @@ func (d *Deque[T]) PopBottom() (T, bool) {
 	return v, true
 }
 
-// PeekBottom returns the bottom item without removing it.
-func (d *Deque[T]) PeekBottom() (T, bool) {
-	var zero T
-	if len(d.items) == 0 {
-		return zero, false
-	}
-	return d.items[0], true
-}
-
 // QueueSet holds one entity's task queues for ADWS: primary queues for
 // tasks the entity creates itself and migration queues for tasks passed
 // from other entities, both separated by task depth (paper Fig. 8).
@@ -160,22 +151,6 @@ func (q *QueueSet[T]) StealPrimary(minDepth int) (T, bool) {
 	for d := minDepth; d < len(q.primary); d++ {
 		if v, ok := q.primary[d].PopBottom(); ok {
 			q.nPrimary--
-			return v, true
-		}
-	}
-	return zero, false
-}
-
-// PeekBottomPrimary returns the task a StealPrimary(0) call would take,
-// without removing it. Thieves use it to check eligibility before
-// committing to a steal.
-func (q *QueueSet[T]) PeekBottomPrimary() (T, bool) {
-	var zero T
-	if q.nPrimary == 0 {
-		return zero, false
-	}
-	for d := 0; d < len(q.primary); d++ {
-		if v, ok := q.primary[d].PeekBottom(); ok {
 			return v, true
 		}
 	}

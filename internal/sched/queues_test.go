@@ -13,17 +13,11 @@ func TestDequeEnds(t *testing.T) {
 	if _, ok := d.PopBottom(); ok {
 		t.Error("PopBottom on empty deque succeeded")
 	}
-	if _, ok := d.PeekBottom(); ok {
-		t.Error("PeekBottom on empty deque succeeded")
-	}
 	d.PushTop(1)
 	d.PushTop(2)
 	d.PushTop(3)
 	if d.Len() != 3 {
 		t.Fatalf("Len = %d", d.Len())
-	}
-	if v, _ := d.PeekBottom(); v != 1 {
-		t.Errorf("PeekBottom = %d, want 1", v)
 	}
 	if v, _ := d.PopTop(); v != 3 {
 		t.Errorf("PopTop = %d, want 3 (LIFO)", v)

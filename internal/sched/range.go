@@ -1,17 +1,21 @@
-// Package sched implements the pure scheduling mathematics of almost
-// deterministic work stealing (ADWS): distribution ranges, deterministic
-// task mapping, the cross-worker task-group tree with dominant-group steal
-// ranges, depth-indexed primary/migration queues, and the multi-level
-// scheduling state machine (leader election, tie-to-cache, cache-hierarchy
-// flattening).
+// Package sched implements the scheduling decisions of almost deterministic
+// work stealing (ADWS) once, for both substrates: distribution ranges and
+// their splitting by work hints (Splitter), the entity axis of a scheduling
+// domain with rebase-on-steal (Axis), the cross-worker task-group tree with
+// group placement and dominant-group steal ranges (GroupNode, PlaceGroup),
+// the steal plan with its victim draw and boundary-queue eligibility
+// (PlanSteal), depth-indexed primary/migration queues (QueueSet), and
+// multi-level scheduling (Leadership, DecideML, FlattenOverCaches,
+// ActingOrder).
 //
-// The package is substrate-agnostic and lock-free by design: the real
-// runtime (internal/runtime) wraps these types with synchronization, and
-// the discrete-event simulator (internal/sim) uses them directly in virtual
-// time. Entity indices are abstract: in a single-level scheduler they are
-// worker IDs; in a multi-level scheduler each ADWS instance runs over the
-// child caches of one cache, and the indices are (logically unwrapped)
-// child positions.
+// The package is substrate-agnostic and lock-free by design: plain value
+// types and pure functions. The real runtime (internal/runtime) wraps its
+// own state with synchronization and the discrete-event simulator
+// (internal/sim) runs in virtual time; both call these functions for every
+// decision (DESIGN.md, "Two substrates, one algorithm layer"). Entity
+// indices are abstract: in a single-level scheduler they are worker IDs; in
+// a multi-level scheduler each ADWS instance runs over the child caches of
+// one cache, and the indices are (logically unwrapped) child positions.
 package sched
 
 import (
@@ -123,9 +127,10 @@ type Splitter struct {
 }
 
 // NewSplitter prepares to divide range r among children whose work hints
-// sum to totalWork. A non-positive totalWork is treated as unknown: every
-// child hint is then also ignored and NextChild must be told the remaining
-// child count instead (see NextChildEqual).
+// sum to totalWork. An equal split over n children is a total of n with a
+// hint of 1 each (the paper's "guess that child tasks have the same amount
+// of work", §6.4). A non-positive totalWork is treated as unknown: the
+// first child then receives the whole range.
 func NewSplitter(r Range, totalWork float64) *Splitter {
 	if totalWork < 0 || math.IsNaN(totalWork) || math.IsInf(totalWork, 0) {
 		totalWork = 0
@@ -134,19 +139,18 @@ func NewSplitter(r Range, totalWork float64) *Splitter {
 }
 
 // NextChild returns the range for the next child task, given its work hint.
-// The final child's range is clamped to end exactly at the group range's X
-// when the hints consume the whole total; callers that cannot guarantee
-// hints sum to totalWork should call Close and use the remainder check in
-// tests. Non-positive hints receive an empty slice at the current cursor
-// (the paper's hints are relative amounts of work; zero work means no
-// entities need to be reserved).
+// Once the hints consume the whole total, the child's range ends exactly at
+// the group range's X and every later child receives an empty slice there;
+// hints that fall short of the total leave the bottom of the range
+// unassigned. Non-positive hints receive an empty slice at the current
+// cursor (the paper's hints are relative amounts of work; zero work means
+// no entities need to be reserved).
 func (s *Splitter) NextChild(hint float64) Range {
 	if hint < 0 || math.IsNaN(hint) || math.IsInf(hint, 0) {
 		hint = 0
 	}
 	if s.totalWork <= 0 {
-		// Unknown total: behave like an even split over one child (callers
-		// use SplitEqual / NextChildEqual instead; this is a safe fallback).
+		// Unknown total: the first child takes everything that is left.
 		r := Range{X: s.r.X, Y: s.cursor}
 		s.cursor = s.r.X
 		return r
@@ -168,80 +172,4 @@ func (s *Splitter) NextChild(hint float64) Range {
 	}
 	s.cursor = bottom
 	return r
-}
-
-// Remaining returns the unassigned bottom part of the range, [X, cursor).
-func (s *Splitter) Remaining() Range { return Range{X: s.r.X, Y: s.cursor} }
-
-// SplitByHints divides r among len(hints) children in one call, assigning
-// from the top downward. If totalWork <= 0 or the hints sum to zero, the
-// split is even (the paper's "guess that child tasks have the same amount
-// of work", §6.4). The last child always ends exactly at r.X.
-func SplitByHints(r Range, totalWork float64, hints []float64) []Range {
-	n := len(hints)
-	if n == 0 {
-		return nil
-	}
-	sum := 0.0
-	for _, h := range hints {
-		if h > 0 && !math.IsNaN(h) && !math.IsInf(h, 0) {
-			sum += h
-		}
-	}
-	if totalWork <= 0 || sum <= 0 {
-		return SplitEqual(r, n)
-	}
-	// Normalize against the declared total; if the hints exceed it, scale
-	// down so everything still fits in the range.
-	total := totalWork
-	if sum > total {
-		total = sum
-	}
-	out := make([]Range, n)
-	cursor := r.Y
-	acc := 0.0
-	for i, h := range hints {
-		if h < 0 || math.IsNaN(h) || math.IsInf(h, 0) {
-			h = 0
-		}
-		acc += h
-		bottom := r.Y - (acc/total)*r.Width()
-		if i == n-1 && acc >= total {
-			bottom = r.X
-		}
-		if bottom < r.X {
-			bottom = r.X
-		}
-		if bottom > cursor {
-			bottom = cursor
-		}
-		out[i] = Range{X: bottom, Y: cursor}
-		cursor = bottom
-	}
-	return out
-}
-
-// SplitEqual divides r evenly among n children, assigning from the top
-// downward (first child gets the topmost slice).
-func SplitEqual(r Range, n int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Range, n)
-	cursor := r.Y
-	w := r.Width()
-	for i := 0; i < n; i++ {
-		var bottom float64
-		if i == n-1 {
-			bottom = r.X
-		} else {
-			bottom = r.Y - (float64(i+1)/float64(n))*w
-		}
-		if bottom > cursor {
-			bottom = cursor
-		}
-		out[i] = Range{X: bottom, Y: cursor}
-		cursor = bottom
-	}
-	return out
 }

@@ -90,14 +90,21 @@ func TestTaskKindString(t *testing.T) {
 	}
 }
 
-func TestSplitByHintsTopDown(t *testing.T) {
+// splitAll divides r among children with the given hints, in order.
+func splitAll(r Range, total float64, hints []float64) []Range {
+	s := NewSplitter(r, total)
+	rs := make([]Range, len(hints))
+	for i, h := range hints {
+		rs[i] = s.NextChild(h)
+	}
+	return rs
+}
+
+func TestSplitterTopDown(t *testing.T) {
 	r := Range{X: 0, Y: 4}
 	// First-declared child takes the topmost slice (paper Fig. 6: migrated
 	// tasks are created first).
-	rs := SplitByHints(r, 4, []float64{1, 1, 2})
-	if len(rs) != 3 {
-		t.Fatalf("got %d ranges", len(rs))
-	}
+	rs := splitAll(r, 4, []float64{1, 1, 2})
 	want := []Range{{3, 4}, {2, 3}, {0, 2}}
 	for i := range rs {
 		if math.Abs(rs[i].X-want[i].X) > 1e-12 || math.Abs(rs[i].Y-want[i].Y) > 1e-12 {
@@ -108,44 +115,26 @@ func TestSplitByHintsTopDown(t *testing.T) {
 	if rs[2].X != r.X {
 		t.Errorf("last child X = %v, want exactly %v", rs[2].X, r.X)
 	}
-}
-
-func TestSplitByHintsEqualFallback(t *testing.T) {
-	r := Range{X: 0, Y: 3}
-	for _, hints := range [][]float64{{0, 0, 0}, {-1, -2, -3}} {
-		rs := SplitByHints(r, 0, hints)
-		for i, sub := range rs {
-			if math.Abs(sub.Width()-1) > 1e-12 {
-				t.Errorf("hints %v child %d width = %v, want 1", hints, i, sub.Width())
-			}
-		}
-	}
 	// NaN/Inf hints are ignored rather than poisoning the split.
-	rs := SplitByHints(r, 3, []float64{math.NaN(), math.Inf(1), 3})
-	if rs[2].X != 0 {
-		t.Errorf("NaN/Inf hints: last child = %v, want ending at 0", rs[2])
+	rs = splitAll(Range{X: 0, Y: 3}, 3, []float64{math.NaN(), math.Inf(1), 3})
+	if rs[2].X != 0 || rs[2].Y != 3 {
+		t.Errorf("NaN/Inf hints: last child = %v, want [0,3)", rs[2])
 	}
 }
 
-func TestSplitByHintsOverflowingHints(t *testing.T) {
-	// Hints summing to more than totalWork must still fit in the range.
+func TestSplitterOverflowingHints(t *testing.T) {
+	// Hints summing to more than totalWork must still fit in the range:
+	// the child that exhausts the total ends at X and the rest are empty.
 	r := Range{X: 0, Y: 2}
-	rs := SplitByHints(r, 1, []float64{3, 3})
-	if rs[0].Y != 2 || rs[1].X != 0 {
+	rs := splitAll(r, 1, []float64{3, 3})
+	if rs[0] != r || rs[1] != (Range{X: 0, Y: 0}) {
 		t.Errorf("overflow split = %v", rs)
 	}
-	for _, sub := range rs {
-		if sub.X < r.X-1e-12 || sub.Y > r.Y+1e-12 {
-			t.Errorf("child %v escapes range %v", sub, r)
-		}
-	}
 }
 
-func TestSplitEqual(t *testing.T) {
-	rs := SplitEqual(Range{X: 1.5, Y: 3.5}, 4)
-	if len(rs) != 4 {
-		t.Fatalf("got %d ranges", len(rs))
-	}
+// An equal split over n children is a total of n with a hint of 1 each.
+func TestSplitterEqual(t *testing.T) {
+	rs := splitAll(Range{X: 1.5, Y: 3.5}, 4, []float64{1, 1, 1, 1})
 	if rs[3].X != 1.5 {
 		t.Errorf("last child X = %v, want 1.5", rs[3].X)
 	}
@@ -157,11 +146,10 @@ func TestSplitEqual(t *testing.T) {
 			t.Errorf("gap between child %d and %d: %v vs %v", i, i+1, rs[i].X, rs[i+1].Y)
 		}
 	}
-	if SplitEqual(Range{}, 0) != nil {
-		t.Error("SplitEqual with n=0 should return nil")
-	}
-	if SplitByHints(Range{}, 1, nil) != nil {
-		t.Error("SplitByHints with no hints should return nil")
+	for i, sub := range rs {
+		if math.Abs(sub.Width()-0.5) > 1e-12 {
+			t.Errorf("child %d width = %v, want 0.5", i, sub.Width())
+		}
 	}
 }
 
@@ -178,9 +166,6 @@ func TestSplitterIncremental(t *testing.T) {
 	r3 := s.NextChild(2)
 	if r3.X != 0.5 {
 		t.Errorf("r3 = %v, want ending exactly at 0.5", r3)
-	}
-	if rem := s.Remaining(); rem.Width() != 0 {
-		t.Errorf("Remaining = %v, want empty", rem)
 	}
 }
 
@@ -199,7 +184,7 @@ func TestSplitterDegenerate(t *testing.T) {
 	}
 }
 
-// Property: SplitByHints always partitions the range exactly: children are
+// Property: a Splitter fed hints that sum to its total always partitions the range exactly: children are
 // contiguous top-down, the first starts at Y, the last ends at X, and no
 // child escapes the range.
 func TestSplitPartitionProperty(t *testing.T) {
@@ -207,10 +192,7 @@ func TestSplitPartitionProperty(t *testing.T) {
 		r := Range{X: float64(x) / 8, Y: float64(x)/8 + float64(width%256)/8 + 0.125}
 		hints := []float64{float64(h1), float64(h2), float64(h3), float64(h4)}
 		total := hints[0] + hints[1] + hints[2] + hints[3]
-		rs := SplitByHints(r, total, hints)
-		if len(rs) != 4 {
-			return false
-		}
+		rs := splitAll(r, total, hints)
 		if rs[0].Y != r.Y || rs[3].X != r.X {
 			return false
 		}
@@ -243,7 +225,7 @@ func TestAtMostOneExecuteProperty(t *testing.T) {
 		for _, h := range hints {
 			total += h
 		}
-		rs := SplitByHints(r, total, hints)
+		rs := splitAll(r, total, hints)
 		executes := 0
 		for _, sub := range rs {
 			if sub.Width() == 0 {

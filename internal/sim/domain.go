@@ -25,79 +25,42 @@ type entity struct {
 	lastGroup *sched.GroupNode
 }
 
-// actingWorker returns the worker currently acting for this entity, or -1.
-func (e *entity) actingWorker() int {
-	if e.cache != nil {
-		return e.cache.leader
+// actingWorker returns the worker currently acting for entity ent, or -1.
+func (e *Engine) actingWorker(ent *entity) int {
+	if ent.cache != nil {
+		return e.lead.Leader(ent.cache.cache)
 	}
-	return e.worker
+	return ent.worker
 }
 
 // domain is one single-level scheduling arena: a set of entities plus a
 // policy (ADWS or conventional WS). The root domain exists for the whole
 // run; multi-level scheduling creates and destroys domains as task groups
-// are tied to caches or hierarchies are flattened.
+// are tied to caches or hierarchies are flattened. The embedded Axis maps
+// between the physical entity indices and the logical axis the domain's
+// distribution ranges live on.
 type domain struct {
+	sched.Axis
 	id       int
 	adws     bool
 	entities []*entity
-	// offset is the logical index of entity 0's first logical slot: the
-	// domain's distribution ranges live on a logically unwrapped axis
-	// [offset, offset+n) and physical entity = logical mod n. A tie by a
-	// leader whose cache is not the first child starts its instance at its
-	// own position; the cyclic mapping keeps the paper's floor arithmetic
-	// intact.
-	offset int
-	// createdBy is the task group whose tie or flattening created this
-	// domain (nil for the root domain).
-	createdBy *activeGroup
+	// caches[i] is the cache entity i stands for in a cache-level domain;
+	// nil in worker-level domains.
+	caches []*topology.Cache
 	// level is the cache level of the entities (worker-level domains use
 	// the machine's leaf level).
 	level int
-	// flattenBase, for flattened domains, records the caches at the level
-	// where flattening was decided, to restore leadership afterwards.
+	// flattened marks a worker-level domain created by cache-hierarchy
+	// flattening.
 	flattened bool
-	// closed marks a domain whose work is finished; entities reject pushes.
+	// closed marks a domain whose work is finished.
 	closed bool
 }
 
-// numEntities returns the number of entities.
-func (d *domain) numEntities() int { return len(d.entities) }
-
-// physical maps a logical entity index to a physical one.
-func (d *domain) physical(logical int) int {
-	n := len(d.entities)
-	p := logical % n
-	if p < 0 {
-		p += n
-	}
-	return p
-}
-
-// logicalOf maps a physical entity index to its canonical logical index in
-// [offset, offset+n).
-func (d *domain) logicalOf(physical int) int {
-	n := len(d.entities)
-	l := physical
-	for l < d.offset {
-		l += n
-	}
-	for l >= d.offset+n {
-		l -= n
-	}
-	return l
-}
-
-// fullRange returns the distribution range covering the whole domain.
-func (d *domain) fullRange() sched.Range {
-	return sched.FullRange(d.offset, len(d.entities))
-}
-
-// mlCache is the per-cache state of multi-level scheduling.
+// mlCache is the per-cache state of multi-level scheduling. Who leads the
+// cache is in Engine.lead.
 type mlCache struct {
 	cache *topology.Cache
-	// leader is the worker currently leading this cache (-1 if absent).
-	leader int
 	// tied is the task group currently tied to this cache (nil if none).
 	tied *activeGroup
 	// entity is this cache's entity in the currently active domain over

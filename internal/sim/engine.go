@@ -63,8 +63,6 @@ type Config struct {
 	Seed uint64
 	// NUMA selects the page placement policy (default Interleave).
 	NUMA NUMAPolicy
-	// MaxStealTries bounds the victims tried per wake-up (default 4).
-	MaxStealTries int
 	// IgnoreWorkHints makes ADWS assume equal work for every child (the
 	// no-work-hints configuration of §6.4). Size hints are still honoured.
 	IgnoreWorkHints bool
@@ -127,8 +125,6 @@ type worker struct {
 	migrationsOut                    int64
 	tasksRun                         int64
 
-	// Multi-level state.
-	leads *mlCache
 	// fdEnts are the worker's entities in flattened domains, newest last.
 	fdEnts []*entity
 
@@ -149,8 +145,10 @@ type Engine struct {
 	evSeq   int64
 	now     float64
 
-	// mlCaches[level][index] mirrors the machine's cache tree.
+	// mlCaches[level][index] mirrors the machine's cache tree; lead records
+	// which worker leads each cache (multi-level modes only).
 	mlCaches [][]*mlCache
+	lead     *sched.Leadership
 	rootDom  *domain
 	domSeq   int
 	taskSeq  int64
@@ -164,8 +162,7 @@ type Engine struct {
 	finalTime   float64
 	runStartSeq int64
 
-	// domainDormant counts, per domain id, how many acting workers are
-	// idle, to skip wake scans.
+	// ties and flattens count the multi-level decisions of the current run.
 	ties, flattens int64
 }
 
@@ -178,9 +175,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if cfg.Costs == (CostModel{}) {
 		cfg.Costs = DefaultCosts()
-	}
-	if cfg.MaxStealTries <= 0 {
-		cfg.MaxStealTries = 4
 	}
 	if cfg.SBSigma <= 0 {
 		cfg.SBSigma = 0.5
@@ -224,7 +218,7 @@ func (e *Engine) buildMLCaches() {
 		row := e.machine.LevelCaches(level)
 		e.mlCaches[level] = make([]*mlCache, len(row))
 		for i, c := range row {
-			e.mlCaches[level][i] = &mlCache{cache: c, leader: -1}
+			e.mlCaches[level][i] = &mlCache{cache: c}
 		}
 	}
 }
@@ -232,54 +226,41 @@ func (e *Engine) buildMLCaches() {
 // initDomains sets up the root scheduling domain and, for multi-level
 // modes, the initial bottom-up leader election (§4.2).
 func (e *Engine) initDomains() {
-	adws := e.cfg.Mode.IsADWS()
 	switch {
 	case e.cfg.Mode == SB:
 		// SB uses per-worker deques and per-cache anchors, no domains.
 	case e.cfg.Mode.IsMultiLevel():
-		// Leaders: every worker leads its leaf, then first-child leaders
-		// are promoted level by level.
-		maxLevel := e.machine.MaxLevel()
-		for w := 0; w < e.machine.NumWorkers(); w++ {
-			leaf := e.mlCaches[maxLevel][w]
-			leaf.leader = w
-			e.workers[w].leads = leaf
-		}
-		for level := maxLevel - 1; level >= 1; level-- {
-			for i, c := range e.machine.LevelCaches(level) {
-				// Promote the leader of the first child.
-				first := c.Children()[0]
-				child := e.mlCaches[first.Level][first.Index]
-				w := child.leader
-				child.leader = -1
-				e.mlCaches[level][i].leader = w
-				e.workers[w].leads = e.mlCaches[level][i]
-			}
-		}
-		// Root domain over the level-1 caches.
-		d := e.newDomain(adws, 0)
-		row := e.mlCaches[1]
-		for i, mc := range row {
-			ent := &entity{dom: d, idx: i, cache: mc, worker: -1}
-			d.entities = append(d.entities, ent)
-			mc.entity = ent
-		}
-		d.level = 1
-		e.rootDom = d
+		e.lead = sched.ElectLeaders(e.machine)
+		e.rootDom = e.newCacheDomain(e.machine.LevelCaches(1), 0)
 	default:
 		// Single-level: one worker-level domain over all workers.
-		d := e.newDomain(adws, 0)
-		for w := 0; w < e.machine.NumWorkers(); w++ {
-			d.entities = append(d.entities, &entity{dom: d, idx: w, worker: w})
+		d := e.newDomain(e.machine.NumWorkers(), 0)
+		for w := range d.entities {
+			d.entities[w] = &entity{dom: d, idx: w, worker: w}
 		}
 		d.level = e.machine.MaxLevel()
 		e.rootDom = d
 	}
 }
 
-func (e *Engine) newDomain(adws bool, offset int) *domain {
+func (e *Engine) newDomain(n, offset int) *domain {
 	e.domSeq++
-	return &domain{id: e.domSeq, adws: adws, offset: offset}
+	return &domain{Axis: sched.Axis{N: n, Offset: offset}, id: e.domSeq,
+		adws: e.cfg.Mode.IsADWS(), entities: make([]*entity, n)}
+}
+
+// newCacheDomain builds a domain whose entities stand for the caches of
+// row, acted for by each cache's current leader.
+func (e *Engine) newCacheDomain(row []*topology.Cache, offset int) *domain {
+	d := e.newDomain(len(row), offset)
+	d.caches = row
+	d.level = row[0].Level
+	for i, c := range row {
+		mc := e.mlCaches[c.Level][c.Index]
+		d.entities[i] = &entity{dom: d, idx: i, cache: mc, worker: -1}
+		mc.entity = d.entities[i]
+	}
+	return d
 }
 
 func (e *Engine) newTask(body Body, work float64) *Task {
@@ -321,9 +302,9 @@ func (e *Engine) Run(root Body) RunResult {
 	} else {
 		ent := e.rootDom.entities[0]
 		e.rootTask.dom = e.rootDom
-		e.rootTask.rng = e.rootDom.fullRange()
+		e.rootTask.rng = e.rootDom.FullRange()
 		ent.queues.PushPrimary(0, e.rootTask)
-		aw := ent.actingWorker()
+		aw := e.actingWorker(ent)
 		if aw < 0 {
 			panic("sim: root entity has no acting worker")
 		}

@@ -46,14 +46,13 @@ func (e *Engine) findWork(w *worker) {
 	e.goIdle(w, searched)
 }
 
-// candidates returns the entities worker w may act for, in priority order:
-// flattened-domain entities (newest first), then the entity of the cache
-// the worker currently leads.
+// candidates returns the entities worker w may act for, in priority order
+// (sched.ActingOrder): live flattened-domain entities, then the entity of
+// the cache the worker currently leads.
 func (e *Engine) candidates(w *worker) []*entity {
 	if !e.cfg.Mode.IsMultiLevel() {
 		return []*entity{e.rootDom.entities[w.id]}
 	}
-	var out []*entity
 	// Prune closed flattened domains in place.
 	live := w.fdEnts[:0]
 	for _, ent := range w.fdEnts {
@@ -62,148 +61,93 @@ func (e *Engine) candidates(w *worker) []*entity {
 		}
 	}
 	w.fdEnts = live
-	for i := len(live) - 1; i >= 0; i-- {
-		out = append(out, live[i])
+	out, alsoLed := sched.ActingOrder(live)
+	if !alsoLed {
+		return out
 	}
-	// A leader participating in a live flattened domain must not start
-	// another task at its cache level: each cache executes one flattened
-	// group ("level-l leaf") at a time (§4.2's one-tied-group invariant,
-	// carried over to flattening).
-	if len(live) == 0 && w.leads != nil && w.leads.entity != nil && !w.leads.entity.dom.closed &&
-		w.leads.entity.actingWorker() == w.id {
-		out = append(out, w.leads.entity)
+	if c := e.lead.Leads(w.id); c != nil {
+		if ent := e.mlCaches[c.Level][c.Index].entity; ent != nil && !ent.dom.closed {
+			out = append(out, ent)
+		}
 	}
 	return out
 }
 
-// trySteal attempts up to MaxStealTries random steals for entity ent,
-// accumulating the time spent in *searched. ADWS domains use the dominant
-// task group's steal range with depth and boundary-queue restrictions;
-// WS domains steal uniformly at random.
+// stealEvent stamps and records a steal-probe event when tracing; t is the
+// stolen task of a success event, nil otherwise.
+func (e *Engine) stealEvent(w *worker, ev trace.Event, t *Task) {
+	tr := e.cfg.Tracer
+	if tr == nil {
+		return
+	}
+	ev.Time = e.vt()
+	if t != nil {
+		ev.Task = e.ordinal(t)
+	}
+	tr.Record(w.id, ev)
+}
+
+// trySteal makes one bounded round of random steal probes for entity ent,
+// accumulating the time spent in *searched: inside the dominant group's
+// steal range under ADWS (sched.PlanSteal), uniformly over the domain
+// under WS.
 func (e *Engine) trySteal(w *worker, ent *entity, searched *float64) (*Task, bool) {
 	d := ent.dom
-	n := len(d.entities)
-	if n <= 1 {
-		return nil, false
-	}
-	tr := e.cfg.Tracer
 	if d.adws {
-		anchor := ent.lastGroup
-		if anchor == nil {
-			// Not dominated by any task group: do not steal (Fig. 11 line
-			// 40), so deterministically migrated tasks are not stolen too
-			// soon.
-			return nil, false
-		}
-		self := d.logicalOf(ent.idx)
-		sr, ok := sched.CurrentStealRange(anchor, self)
+		plan, ok := sched.PlanSteal(ent.lastGroup, d.Axis, ent.idx, 0)
 		if !ok {
 			return nil, false
 		}
-		nv := sr.NumVictims(self)
-		if nv <= 0 {
-			return nil, false
-		}
-		// Events carry the inclusive steal range [Low, High] half-open.
-		srLo, srHi := float64(sr.Low), float64(sr.High)+1
-		tries := e.cfg.MaxStealTries
-		if tries > nv {
-			tries = nv
-		}
-		for a := 0; a < tries; a++ {
+		ev := trace.Event{Self: int32(plan.Self), Depth: int32(plan.MinDepth)}
+		ev.RangeLo, ev.RangeHi = plan.HalfOpen()
+		for a := 0; a < plan.Tries; a++ {
 			*searched += e.costs.StealAttempt
 			w.stealAttempts++
-			v := sr.Victim(self, w.rng.Intn(nv))
-			if tr != nil {
-				tr.Record(w.id, trace.Event{Type: trace.EvStealAttempt, Time: e.vt(),
-					Self: int32(self), Victim: int32(v), Depth: int32(sr.MinDepth),
-					RangeLo: srLo, RangeHi: srHi})
+			v := plan.Draw(w.rng)
+			ev.Type, ev.Victim = trace.EvStealAttempt, int32(v.Logical)
+			e.stealEvent(w, ev, nil)
+			var t *Task
+			if v.Migration {
+				t, _ = d.entities[v.Physical].queues.StealMigration(plan.MinDepth)
 			}
-			vp := d.physical(v)
-			if vp == ent.idx {
-				continue // cyclic wrap collided with ourselves
+			if t == nil && v.Primary {
+				t, _ = d.entities[v.Physical].queues.StealPrimary(plan.MinDepth)
 			}
-			ve := d.entities[vp]
-			if sr.MigrationStealable(v) {
-				if t, ok := ve.queues.StealMigration(sr.MinDepth); ok {
-					w.steals++
-					if tr != nil {
-						tr.Record(w.id, trace.Event{Type: trace.EvStealSuccess, Time: e.vt(),
-							Self: int32(self), Victim: int32(v), Depth: int32(sr.MinDepth),
-							Task: e.ordinal(t), RangeLo: srLo, RangeHi: srHi})
-					}
-					e.rebase(t, self, d)
-					return t, true
-				}
-			}
-			if sr.PrimaryStealable(v) {
-				if t, ok := ve.queues.StealPrimary(sr.MinDepth); ok {
-					w.steals++
-					if tr != nil {
-						tr.Record(w.id, trace.Event{Type: trace.EvStealSuccess, Time: e.vt(),
-							Self: int32(self), Victim: int32(v), Depth: int32(sr.MinDepth),
-							Task: e.ordinal(t), RangeLo: srLo, RangeHi: srHi})
-					}
-					e.rebase(t, self, d)
-					return t, true
-				}
+			if t != nil {
+				w.steals++
+				ev.Type = trace.EvStealSuccess
+				e.stealEvent(w, ev, t)
+				t.inMigrationQueue = false
+				t.rng = d.Rebase(t.rng, plan.Self)
+				return t, true
 			}
 		}
-		if tr != nil {
-			tr.Record(w.id, trace.Event{Type: trace.EvStealFail, Time: e.vt(),
-				Self: int32(self), Depth: int32(sr.MinDepth), RangeLo: srLo, RangeHi: srHi})
-		}
+		ev.Type, ev.Victim = trace.EvStealFail, 0
+		e.stealEvent(w, ev, nil)
 		return nil, false
 	}
 	// Conventional random work stealing.
-	tries := e.cfg.MaxStealTries
-	if tries > n-1 {
-		tries = n - 1
+	tries := sched.UniformTries(d.N)
+	if tries <= 0 {
+		return nil, false
 	}
+	ev := trace.Event{Self: int32(ent.idx)}
 	for a := 0; a < tries; a++ {
 		*searched += e.costs.StealAttempt
 		w.stealAttempts++
-		v := w.rng.Intn(n - 1)
-		if v >= ent.idx {
-			v++
-		}
-		if tr != nil {
-			tr.Record(w.id, trace.Event{Type: trace.EvStealAttempt, Time: e.vt(),
-				Self: int32(ent.idx), Victim: int32(v)})
-		}
+		v := sched.UniformVictim(w.rng, d.N, ent.idx)
+		ev.Type, ev.Victim = trace.EvStealAttempt, int32(v)
+		e.stealEvent(w, ev, nil)
 		if t, ok := d.entities[v].queues.StealAny(); ok {
 			w.steals++
-			if tr != nil {
-				tr.Record(w.id, trace.Event{Type: trace.EvStealSuccess, Time: e.vt(),
-					Self: int32(ent.idx), Victim: int32(v), Task: e.ordinal(t)})
-			}
+			ev.Type = trace.EvStealSuccess
+			e.stealEvent(w, ev, t)
 			return t, true
 		}
 	}
-	if tr != nil && tries > 0 {
-		tr.Record(w.id, trace.Event{Type: trace.EvStealFail, Time: e.vt(),
-			Self: int32(ent.idx)})
-	}
+	ev.Type, ev.Victim = trace.EvStealFail, 0
+	e.stealEvent(w, ev, nil)
 	return nil, false
-}
-
-// rebase re-owns a stolen task's distribution range onto the thief: the
-// range keeps its width but its owner becomes the thief (clamped to the
-// domain), so the stolen subtree unfolds around the thief while staying
-// deterministic below (see DESIGN.md on steal semantics).
-func (e *Engine) rebase(t *Task, thiefLogical int, d *domain) {
-	t.inMigrationQueue = false
-	width := t.rng.Width()
-	frac := t.rng.X - float64(t.rng.Owner())
-	newX := float64(thiefLogical) + frac
-	maxX := float64(d.offset+len(d.entities)) - width
-	if newX > maxX {
-		newX = maxX
-	}
-	if newX < float64(d.offset) {
-		newX = float64(d.offset)
-	}
-	t.rng = sched.Range{X: newX, Y: newX + width}
 }
 
 // startTask begins executing task t on worker w, charging `searched` time

@@ -41,14 +41,9 @@ func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 	var oh float64
 
 	if e.cfg.Mode.IsMultiLevel() && !dom.flattened {
-		if nd, rng, ent, kind := e.mlDecide(w, t, spec, ag); nd != nil {
-			dom, parentRange, parentEnt, fresh = nd, rng, ent, true
+		if nd, ent := e.mlDecide(w, t, spec, ag); nd != nil {
+			dom, parentRange, parentEnt, fresh = nd, nd.FullRange(), ent, true
 			oh += e.costs.TieOverhead
-			if kind == mlTied {
-				e.ties++
-			} else {
-				e.flattens++
-			}
 		}
 	}
 
@@ -86,63 +81,48 @@ func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 // children locally, and return the type-(2) child for immediate execution.
 func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, parentRange sched.Range, parentEnt *entity, fresh bool, oh *float64) *Task {
 	spec := ag.spec
-	iExec := dom.logicalOf(parentEnt.idx)
+	iExec := dom.LogicalOf(parentEnt.idx)
+	pl := sched.PlaceGroup(t.group, t.depth, t.inMigrationQueue, parentRange, fresh)
+	ag.node = pl.Node
 
-	crossGroup := parentRange.IsCrossWorker()
-	childGroup := t.group
-	childDepth := t.depth
-	if fresh {
-		childGroup, childDepth = nil, 0
+	equal := e.cfg.IgnoreWorkHints || spec.Work <= 0
+	total := spec.Work
+	if equal {
+		total = float64(len(spec.Children))
 	}
-	if crossGroup {
-		var node *sched.GroupNode
-		if fresh || childGroup == nil {
-			node = sched.NewRootGroup(parentRange)
-		} else {
-			node = childGroup.NewChildGroup(parentRange)
-		}
-		ag.node = node
-		childGroup = node
-		childDepth = node.Depth()
-	}
-
-	var ranges []sched.Range
-	if e.cfg.IgnoreWorkHints || spec.Work <= 0 {
-		ranges = sched.SplitEqual(parentRange, len(spec.Children))
-	} else {
-		hints := make([]float64, len(spec.Children))
-		for k, c := range spec.Children {
-			hints[k] = c.Work
-		}
-		ranges = sched.SplitByHints(parentRange, spec.Work, hints)
-	}
+	split := sched.NewSplitter(parentRange, total)
 
 	var inline *Task
-	for k, cs := range spec.Children {
+	for _, cs := range spec.Children {
+		hint := cs.Work
+		if equal {
+			hint = 1
+		}
+		rng := split.NextChild(hint)
 		child := e.newTask(cs.Body, cs.Work)
 		child.dom = dom
-		child.rng = ranges[k]
-		child.group = childGroup
-		child.depth = childDepth
+		child.rng = rng
+		child.group = pl.ChildGroup
+		child.depth = pl.ChildDepth
 		child.parentGroup = ag
-		child.crossWorker = crossGroup && ranges[k].IsCrossWorker()
+		child.crossWorker = pl.CrossWorkerChild(rng)
 		child.sbSize = cs.Size
 		*oh += e.costs.SpawnOverhead
-		switch sched.Classify(ranges[k], iExec) {
+		switch sched.Classify(rng, iExec) {
 		case sched.KindMigrate:
-			ent := dom.entities[dom.physical(ranges[k].Owner())]
+			ent := dom.entities[dom.Physical(rng.Owner())]
 			child.ent = ent
 			child.inMigrationQueue = true
 			if tr := e.cfg.Tracer; tr != nil {
 				tr.Record(w.id, trace.Event{Type: trace.EvMigration, Time: e.vt(),
-					Self: int32(iExec), Victim: int32(ranges[k].Owner()),
-					Task: e.ordinal(child), Depth: int32(childDepth),
-					RangeLo: ranges[k].X, RangeHi: ranges[k].Y})
+					Self: int32(iExec), Victim: int32(rng.Owner()),
+					Task: e.ordinal(child), Depth: int32(pl.ChildDepth),
+					RangeLo: rng.X, RangeHi: rng.Y})
 			}
-			ent.queues.PushMigration(childDepth, child)
+			ent.queues.PushMigration(pl.ChildDepth, child)
 			*oh += e.costs.MigrateOverhead
 			w.migrationsOut++
-			if aw := ent.actingWorker(); aw >= 0 {
+			if aw := e.actingWorker(ent); aw >= 0 {
 				e.wake(e.workers[aw], e.now)
 			}
 		case sched.KindExecute:
@@ -150,11 +130,11 @@ func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, par
 			inline = child
 		case sched.KindLocal:
 			child.ent = parentEnt
-			child.inMigrationQueue = t.inMigrationQueue && !fresh
+			child.inMigrationQueue = pl.LocalInMigration
 			if child.inMigrationQueue {
-				parentEnt.queues.PushMigration(childDepth, child)
+				parentEnt.queues.PushMigration(pl.ChildDepth, child)
 			} else {
-				parentEnt.queues.PushPrimary(childDepth, child)
+				parentEnt.queues.PushPrimary(pl.ChildDepth, child)
 			}
 		}
 	}
@@ -185,98 +165,52 @@ func (e *Engine) spawnWS(w *worker, t *Task, ag *activeGroup, dom *domain, paren
 	return inline
 }
 
-// mlKind distinguishes the two domain-creating multi-level decisions.
-type mlKind int
-
-const (
-	mlTied mlKind = iota
-	mlFlattened
-)
-
 // mlDecide applies the multi-level scheduling decisions for a task group
-// (Fig. 13's EXECUTETASKGROUP composed with Fig. 15's flattening).
-//
-// Cache-hierarchy flattening is checked first (§5: a working set that fits
-// the aggregate capacity of the caches in the group's distribution range
-// is scheduled by a single-level scheduler over their descendants;
-// "otherwise, we continue to schedule TG at the current cache level").
-// When flattening bottoms out at the leaf level, a flattened worker-level
-// domain runs the group. When it stops at an intermediate level (only
-// possible on machines with three or more cache levels), we approximate it
-// by tying the group to the worker's current cache when it fits — which
-// descends exactly one level and lets multi-level scheduling continue
-// below (documented deviation, DESIGN.md). On two-level machines like the
-// paper's, leaf flattening subsumes tying: a group that fits one shared
-// cache and whose range has narrowed to that cache flattens over exactly
-// that cache's workers, which is the tie of Fig. 13.
-//
-// It returns the new domain (nil to stay), the parent's range in it, the
-// parent's entity in it, and which decision was taken.
-func (e *Engine) mlDecide(w *worker, t *Task, spec *GroupSpec, ag *activeGroup) (*domain, sched.Range, *entity, mlKind) {
+// (sched.DecideML: Fig. 13's EXECUTETASKGROUP composed with Fig. 15's
+// flattening). It returns the new domain and the parent's entity in it,
+// or nils to stay.
+func (e *Engine) mlDecide(w *worker, t *Task, spec *GroupSpec, ag *activeGroup) (*domain, *entity) {
 	if spec.Size <= 0 {
-		return nil, sched.Range{}, nil, 0
+		return nil, nil
 	}
 	dom := t.dom
-	// Cache-hierarchy flattening applies to multi-level ADWS only (§5:
-	// flattening other strategies has limited benefit, and WS tasks carry
-	// no distribution range to derive the candidate span from).
-	if dom.adws && dom.level < e.machine.MaxLevel() && len(dom.entities) > 0 && dom.entities[0].cache != nil {
-		lo := t.rng.Owner()
-		hi := t.rng.Last() - 1
-		if hi < lo {
-			hi = lo
-		}
-		var cand []*topology.Cache
-		for l := lo; l <= hi && l-lo < len(dom.entities); l++ {
-			cand = append(cand, dom.entities[dom.physical(l)].cache.cache)
-		}
-		lnext, caches := sched.FlattenOverCaches(e.machine, spec.Size, dom.level, cand)
-		if caches != nil && lnext == e.machine.MaxLevel() {
-			d, rng, ent := e.flatten(w, caches, ag)
-			return d, rng, ent, mlFlattened
+	var span []*topology.Cache
+	if dom.adws && dom.caches != nil {
+		span = dom.FlattenSpan(t.rng, dom.caches)
+	}
+	// The group may be tied to the cache w leads, unless one already is.
+	var led *mlCache
+	var tieTo *topology.Cache
+	if c := e.lead.Leads(w.id); c != nil {
+		if led = e.mlCaches[c.Level][c.Index]; led.tied == nil {
+			tieTo = c
 		}
 	}
-	// Tie to the worker's current cache (Fig. 13) when flattening did not
-	// bottom out at the leaves.
-	c := w.leads
-	if c != nil && c.cache.Level < e.machine.MaxLevel() && c.tied == nil &&
-		spec.Size <= c.cache.Capacity {
-		d, rng, ent := e.tie(w, c, ag)
-		return d, rng, ent, mlTied
+	dec := sched.DecideML(e.machine, w.id, spec.Size, span, tieTo)
+	var d *domain
+	switch dec.Choice {
+	case sched.MLTie:
+		d = e.tie(w, led, dec, ag)
+	case sched.MLFlatten:
+		d = e.flatten(w, dec, ag)
+	default:
+		return nil, nil
 	}
-	return nil, sched.Range{}, nil, 0
+	return d, d.entities[dec.Pos]
 }
 
 // tie ties ag to cache c (Fig. 13): the leading worker descends to lead
 // the child cache on its path, and a fresh domain over c's children
 // schedules ag's children.
-func (e *Engine) tie(w *worker, c *mlCache, ag *activeGroup) (*domain, sched.Range, *entity) {
+func (e *Engine) tie(w *worker, c *mlCache, dec sched.MLDecision, ag *activeGroup) *domain {
+	e.ties++
 	c.tied = ag
 	ag.tiedTo = c
-	children := c.cache.Children()
-	cw := e.machine.CacheOfWorkerAtLevel(w.id, c.cache.Level+1)
-	pos := cw.Index - children[0].Index
-
-	d := e.newDomain(e.cfg.Mode.IsADWS(), pos)
-	d.createdBy = ag
-	d.level = c.cache.Level + 1
-	for i, ch := range children {
-		mc := e.mlCaches[ch.Level][ch.Index]
-		ent := &entity{dom: d, idx: i, cache: mc, worker: -1}
-		d.entities = append(d.entities, ent)
-		mc.entity = ent
-	}
+	d := e.newCacheDomain(dec.Caches, dec.Pos)
 	c.childDomain = d
-
-	// Leadership descends (Fig. 13 line 56).
-	mcw := e.mlCaches[cw.Level][cw.Index]
-	c.leader = -1
-	mcw.leader = w.id
-	w.leads = mcw
-
+	e.lead.Lead(w.id, dec.Caches[dec.Pos])
 	e.traceBoundary(w.id, trace.BoundaryTie, d, c.cache.Level)
-	rng := d.fullRange()
-	return d, rng, d.entities[pos]
+	return d
 }
 
 // untie restores cache c when its tied group completes (Fig. 13 line 58):
@@ -291,12 +225,7 @@ func (e *Engine) untie(ag *activeGroup) {
 		c.childDomain = nil
 	}
 	wid := ag.parent.execWorker
-	w := e.workers[wid]
-	if w.leads != nil && w.leads != c {
-		w.leads.leader = -1
-	}
-	c.leader = wid
-	w.leads = c
+	e.lead.Lead(wid, c.cache)
 	e.traceBoundary(wid, trace.BoundaryUntie, tornDown, c.cache.Level)
 }
 
@@ -304,31 +233,19 @@ func (e *Engine) untie(ag *activeGroup) {
 // (paper Fig. 15). Every covered worker participates directly; leadership
 // is untouched, so the spanned caches resume their roles when the
 // flattened group completes.
-func (e *Engine) flatten(w *worker, caches []*topology.Cache, ag *activeGroup) (*domain, sched.Range, *entity) {
-	d := e.newDomain(e.cfg.Mode.IsADWS(), 0)
-	d.createdBy = ag
+func (e *Engine) flatten(w *worker, dec sched.MLDecision, ag *activeGroup) *domain {
+	e.flattens++
+	d := e.newDomain(len(dec.Caches), dec.Pos)
 	d.level = e.machine.MaxLevel()
 	d.flattened = true
-	pos := -1
-	for i, ch := range caches {
+	for i, ch := range dec.Caches {
 		wid := ch.FirstWorker()
-		ent := &entity{dom: d, idx: i, worker: wid}
-		d.entities = append(d.entities, ent)
-		e.workers[wid].fdEnts = append(e.workers[wid].fdEnts, ent)
-		if wid == w.id {
-			pos = i
-		}
+		d.entities[i] = &entity{dom: d, idx: i, worker: wid}
+		e.workers[wid].fdEnts = append(e.workers[wid].fdEnts, d.entities[i])
 	}
-	if pos < 0 {
-		// The deciding worker is not under the flattened caches; anchor the
-		// range at entity 0. (Cannot happen for ranges produced by ADWS,
-		// but keep the invariant executor==owner best-effort.)
-		pos = 0
-	}
-	d.offset = pos
 	ag.flattened = d
 	e.traceBoundary(w.id, trace.BoundaryFlatten, d, d.level)
-	return d, d.fullRange(), d.entities[pos]
+	return d
 }
 
 // unflatten tears down a flattened domain when its group completes.
@@ -352,7 +269,7 @@ func (e *Engine) unflatten(ag *activeGroup) {
 // work is noticed promptly.
 func (e *Engine) wakeDomain(d *domain) {
 	for _, ent := range d.entities {
-		if aw := ent.actingWorker(); aw >= 0 {
+		if aw := e.actingWorker(ent); aw >= 0 {
 			e.wake(e.workers[aw], e.now)
 		}
 	}

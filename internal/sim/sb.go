@@ -277,7 +277,7 @@ func (e *Engine) findWorkSB(w *worker) {
 	// (not just the steal end), since anchored and unanchored tasks mix.
 	var searched float64
 	n := len(e.workers)
-	tries := 2 * e.cfg.MaxStealTries
+	tries := 2 * sched.MaxStealTries
 	if tries > n-1 {
 		tries = n - 1
 	}
@@ -285,11 +285,7 @@ func (e *Engine) findWorkSB(w *worker) {
 	for a := 0; a < tries; a++ {
 		searched += e.costs.StealAttempt
 		w.stealAttempts++
-		v := w.rng.Intn(n - 1)
-		if v >= w.id {
-			v++
-		}
-		vic := e.workers[v]
+		vic := e.workers[sched.UniformVictim(w.rng, n, w.id)]
 		if t, ok := vic.sbQueue.StealPrimaryWhere(0, eligible); ok {
 			w.steals++
 			if e.sbPlace(w, t) {

@@ -47,8 +47,8 @@ const (
 	// task's ordinal). It always follows an EvStealAttempt for the same
 	// victim.
 	EvStealSuccess
-	// EvStealFail marks a whole steal round (up to maxStealTries probes on
-	// one entity) that found nothing.
+	// EvStealFail marks a whole steal round (up to sched.MaxStealTries
+	// probes on one entity) that found nothing.
 	EvStealFail
 	// EvMigration marks an ADWS deterministic task migration at spawn
 	// time: Self is the spawning entity, Victim the destination entity,

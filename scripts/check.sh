@@ -13,12 +13,13 @@
 #      order. Findings not recorded in lint-baseline.json fail the gate.
 #   3. go build ./...                                everything compiles
 #   4. go test ./...                                 full test suite
-#   5. go test -race internal/runtime + internal/trace + internal/server
-#      + internal/cluster + cmd/adwsd
-#      The runtime's lock-free deques, the tracer's per-worker ring
-#      buffers, the job-serving admission path, and the cluster's routing
-#      ledger are the places where a data race would silently corrupt
-#      results; the race detector is the authority on all of them.
+#   5. go test -race internal/sched + internal/runtime + internal/trace
+#      + internal/server + internal/cluster + cmd/adwsd
+#      The scheduler core's group tree (written by owners, read by
+#      thieves), the runtime's lock-free deques, the tracer's per-worker
+#      ring buffers, the job-serving admission path, and the cluster's
+#      routing ledger are the places where a data race would silently
+#      corrupt results; the race detector is the authority on all of them.
 #   6. go test -run='^$' -bench=. -benchtime=1x ./...   benchmark smoke
 #      One iteration of every benchmark, so a refactor that breaks a
 #      benchmark harness (or deadlocks the parked-pool submit path) fails
@@ -33,6 +34,10 @@
 #      and does one tiny adwsload run whose /metrics exposition is
 #      re-parsed with the strict internal parser, so a registry change
 #      that breaks scrapes or the committed trajectory fails here.
+#   9. go run ./bench -workload all -smoke           benchmark harness smoke
+#      Every path of the harness that judges PRs (BENCHMARK.json), at tiny
+#      sizes (~5 s); it measures nothing, but a change that breaks what
+#      bench/ calls or one of its correctness gates fails here.
 #
 # Watchdog flight-recorder dumps written during the run (any test whose
 # watchdog fires without an explicit DumpDir) land in $ADWS_FR_DIR,
@@ -63,8 +68,8 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/runtime/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/..."
-go test -race ./internal/runtime/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/...
+echo "==> go test -race ./internal/sched/... ./internal/runtime/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/..."
+go test -race ./internal/sched/... ./internal/runtime/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/...
 
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./...   (benchmark smoke)"
 go test -run='^$' -bench=. -benchtime=1x ./...
@@ -73,5 +78,8 @@ echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate"
 ADWS_BENCH_SMOKE=1 go test ./internal/runtime/ -run TestFlightOverheadSmoke -count=1
 
 scripts/bench.sh -smoke
+
+echo "==> go run ./bench -workload all -smoke   (benchmark harness smoke)"
+go run ./bench -workload all -smoke
 
 echo "OK: all checks passed"
