@@ -3,6 +3,7 @@ package adws
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -47,11 +48,11 @@ func TestClusterRoundTrip(t *testing.T) {
 	var jobs []*ClusterJob
 	for round := 0; round < 3; round++ {
 		for _, key := range []string{"qs", "kd", "mm"} {
-			var n int64
+			var n atomic.Int64
 			j, err := c.Submit(context.Background(), key, func(cx *Ctx) error {
 				g := cx.Group(GroupHint{Work: 4})
 				for i := 0; i < 4; i++ {
-					g.Spawn(1, func(*Ctx) { n++ })
+					g.Spawn(1, func(*Ctx) { n.Add(1) })
 				}
 				g.Wait()
 				return nil
@@ -64,6 +65,9 @@ func TestClusterRoundTrip(t *testing.T) {
 			}
 			if j.State() != JobDone {
 				t.Fatalf("job %d state = %v", j.ClusterID(), j.State())
+			}
+			if n.Load() != 4 {
+				t.Errorf("job %d ran %d of its 4 tasks", j.ClusterID(), n.Load())
 			}
 			jobs = append(jobs, j)
 		}

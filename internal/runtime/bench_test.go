@@ -17,7 +17,7 @@ import (
 
 var benchWorkerCounts = []int{1, 4, 8}
 
-func newBenchPool(b *testing.B, pol Policy, workers int) *Pool {
+func newBenchPool(b testing.TB, pol Policy, workers int) *Pool {
 	b.Helper()
 	p := NewPool(Config{
 		Machine: topology.Flat(workers, 32<<20, 1<<20),

@@ -9,10 +9,11 @@ import (
 	"github.com/parlab/adws/internal/topology"
 )
 
-// entity is one scheduling slot of a domain, with its own lock-protected
-// queue set. In worker-level domains an entity is permanently bound to one
-// worker; in cache-level domains the acting worker is the cache's current
-// leader.
+// entity is one scheduling slot of a domain, with its own queues: the
+// depth-indexed QueueSet behind mu in ADWS domains, the lock-free deque in
+// conventional work-stealing ones. In worker-level domains an entity is
+// permanently bound to one worker; in cache-level domains the acting
+// worker is the cache's current leader.
 type entity struct {
 	dom *domain
 	idx int
@@ -27,8 +28,11 @@ type entity struct {
 	cache    *mlCache
 	workerID int // fixed acting worker, or -1 for cache-level entities
 
-	// lastGroup anchors the dominant-group walk for steals from this
-	// entity (the "current position in the tree" of §3.2).
+	// lastGroup anchors the dominant-group walk for steals on behalf of
+	// this entity (the "current position in the tree" of §3.2): the
+	// cross-worker group of the last task it started. Worker-local groups
+	// have no node of their own, so it changes only when the entity moves
+	// between cross-worker groups, and noteStart stores it only then.
 	lastGroup atomic.Pointer[sched.GroupNode]
 }
 

@@ -48,11 +48,15 @@ func (w *worker) noteSteal(t *task) {
 	}
 }
 
-// noteStart records scheduling bookkeeping when a task begins on entity e.
+// noteStart records that task t begins on entity e: e becomes the task's
+// entity (a stolen task changes hands here) and the task's cross-worker
+// group becomes e's steal anchor. Consecutive tasks almost always share
+// that group, so the steady path is a load and a compare, not an XCHG per
+// task.
 //
 //adws:hotpath
 func (w *worker) noteStart(e *entity, t *task) {
-	if t.group != nil {
+	if t.group != nil && e.lastGroup.Load() != t.group {
 		e.lastGroup.Store(t.group)
 	}
 	t.ent = e
@@ -66,7 +70,7 @@ func (w *worker) noteStart(e *entity, t *task) {
 func (w *worker) candidates() []*entity {
 	p := w.pool
 	if !p.policy.isML() {
-		return []*entity{p.rootDom.entities[w.id]}
+		return w.self
 	}
 	w.fdMu.Lock()
 	live := w.fdEnts[:0]

@@ -35,8 +35,6 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 
 	dom := c.cur.dom
 	rng := c.cur.rng
-	g.ent = c.entityFor(dom, rng)
-
 	if p.policy.isML() && !dom.flattened {
 		if nd, nent := p.mlDecide(c.w, c.cur, h.Size, g); nd != nil {
 			dom, rng, g.ent = nd, nd.FullRange(), nent
@@ -45,12 +43,20 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 	}
 	g.dom = dom
 	g.adws = dom.adws
-	g.iExec = dom.LogicalOf(g.ent.idx)
 
 	if g.adws {
-		g.splitter = sched.NewSplitter(rng, h.Work)
 		g.GroupPlacement = sched.PlaceGroup(c.cur.group, c.cur.depth, c.cur.inMigration, rng, g.fresh)
+		if g.Local() {
+			// Work-first path: the task already runs on its range's owner.
+			g.ent = c.cur.ent
+			return &TaskGroup{g: g}
+		}
+		g.splitter = sched.NewSplitter(rng, h.Work)
 	}
+	if !g.fresh {
+		g.ent = c.entityFor(dom, rng)
+	}
+	g.iExec = dom.LogicalOf(g.ent.idx)
 	return &TaskGroup{g: g}
 }
 
@@ -97,11 +103,18 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 		return
 	}
 
-	t.rng = g.splitter.NextChild(work)
 	t.group = g.ChildGroup
 	t.depth = g.ChildDepth
-	t.crossWorker = g.CrossWorkerChild(t.rng)
-	switch sched.Classify(t.rng, g.iExec) {
+	// Children of a worker-local group inherit its range and stay local
+	// (sched.GroupPlacement.Local); only cross-worker groups split.
+	t.rng = g.parent.cur.rng
+	kind := sched.KindLocal
+	if !g.Local() {
+		t.rng = g.splitter.NextChild(work)
+		t.crossWorker = g.CrossWorkerChild(t.rng)
+		kind = sched.Classify(t.rng, g.iExec)
+	}
+	switch kind {
 	case sched.KindMigrate:
 		ent := g.dom.entities[g.dom.Physical(t.rng.Owner())]
 		t.ent = ent

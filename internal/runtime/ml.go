@@ -42,6 +42,7 @@ func (p *Pool) initTopology() {
 		d.level = m.MaxLevel()
 		for w := range d.entities {
 			d.entities[w] = newEntity(d, w, nil, w)
+			p.workers[w].self = d.entities[w : w+1 : w+1]
 		}
 		p.rootDom = d
 		return

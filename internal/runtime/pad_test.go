@@ -55,3 +55,13 @@ func TestWorkerStatsLayout(t *testing.T) {
 			unsafe.Offsetof(w.id), cacheLine)
 	}
 }
+
+// taskGroup is allocated once per Ctx.Group under every policy, so its size
+// class is part of the spawn cost WS and ADWS share: 144 bytes is a malloc
+// size class and the next one is 160. Per-group state only cross-worker
+// groups need (the Splitter) hangs off a pointer for that reason.
+func TestTaskGroupSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(taskGroup{}); got > 144 {
+		t.Errorf("Sizeof(taskGroup) = %d, want <= 144", got)
+	}
+}

@@ -262,16 +262,21 @@ type taskGroup struct {
 	workAll float64
 	size    int64
 	// GroupPlacement holds the group's cross-worker tree node (nil for
-	// non-cross groups) and its children's group, depth and queue family;
-	// it stays zero in WS domains.
+	// non-cross groups), its children's group, depth and queue family, and
+	// whether the group is worker-local (Local: children inherit the
+	// parent's range and entity, nothing is split or classified); it stays
+	// zero in WS domains.
 	sched.GroupPlacement
 	// splitter divides the parent range incrementally across Spawn calls.
+	// Only cross-worker ADWS groups have one, and it stays behind a
+	// pointer so that taskGroup keeps its size class (pad_test.go).
 	splitter *sched.Splitter
 	// dom is the domain children are spawned into.
 	dom *domain
 	// ent is the parent's entity in dom.
 	ent *entity
-	// iExec is the parent's logical entity index in dom.
+	// iExec is the parent's logical entity index in dom (unset in Local
+	// groups, which classify nothing).
 	iExec int
 	// execChild is the deferred type-(2) child, run first in Wait.
 	execChild *task
@@ -564,6 +569,10 @@ type worker struct {
 	id   int
 	pool *Pool
 	rng  *sched.RNG
+
+	// self is the worker's fixed candidate list under the single-level
+	// policies: its own root-domain entity (nil under multi-level ones).
+	self []*entity
 
 	// fdMu guards fdEnts (flattened-domain entities, newest last).
 	fdMu   sync.Mutex //adws:lockrank(70) mlDecide flattens under Pool.ml (rank 60)

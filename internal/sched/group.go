@@ -41,10 +41,14 @@ func (g *GroupNode) NewChildGroup(r Range) *GroupNode {
 }
 
 // GroupPlacement is where a new task group and its children sit in the
-// cross-worker group tree (paper Fig. 10) and in the queue families.
+// cross-worker group tree (paper Fig. 10) and in the queue families. It is
+// built once per task group on the spawn path and has four fields on
+// purpose: the compiler keeps a struct of up to four fields in registers,
+// and a fifth turned PlaceGroup's return into stack copies that cost more
+// than the range split a local group saves.
 type GroupPlacement struct {
-	// Node is the group's own tree node, or nil when its range is not
-	// cross-worker (such groups are not recorded in the tree).
+	// Node is the group's own tree node, or nil for a worker-local group
+	// (such groups are not recorded in the tree; see Local).
 	Node *GroupNode
 	// ChildGroup and ChildDepth are the enclosing cross-worker group and
 	// the task depth of the group's children.
@@ -60,22 +64,32 @@ type GroupPlacement struct {
 // `depth` of cross-worker group `parent` (nil outside any), delivered
 // through a migration queue or not. fresh marks a group that opened a new
 // scheduling domain (tie or flattening): it starts a new tree at depth 0
-// in the primary family, because its range lives on another axis.
+// in the primary family, because its range lives on another axis, and is
+// never local (a domain's full range is cross-worker in any case).
 func PlaceGroup(parent *GroupNode, depth int, inMigration bool, r Range, fresh bool) GroupPlacement {
 	if fresh {
-		parent, depth, inMigration = nil, 0, false
+		parent, inMigration = nil, false
+	} else if !r.IsCrossWorker() {
+		return GroupPlacement{ChildGroup: parent, ChildDepth: depth, LocalInMigration: inMigration}
 	}
-	pl := GroupPlacement{ChildGroup: parent, ChildDepth: depth, LocalInMigration: inMigration}
-	if r.IsCrossWorker() {
-		if parent == nil {
-			pl.Node = NewRootGroup(r)
-		} else {
-			pl.Node = parent.NewChildGroup(r)
-		}
-		pl.ChildGroup, pl.ChildDepth = pl.Node, pl.Node.depth
+	var node *GroupNode
+	if parent == nil {
+		node = NewRootGroup(r)
+	} else {
+		node = parent.NewChildGroup(r)
 	}
-	return pl
+	return GroupPlacement{Node: node, ChildGroup: node, ChildDepth: node.depth, LocalInMigration: inMigration}
 }
+
+// Local reports a worker-local group: its range lies inside one entity's
+// cell and it opened no new domain. This is the one place the work-first
+// rule is decided (§3.1–3.2). Every child of a local group takes the
+// parent's range and entity unchanged, is KindLocal and not cross-worker,
+// and needs no Splitter: any slice of a range with floor(X) == floor(Y)
+// has the same owner and is again not cross-worker, also after
+// Axis.Rebase, and owner and cross-workerness are all that scheduling
+// reads from a range (TestLocalRangeLemma; DESIGN.md, "Where ADWS pays").
+func (pl GroupPlacement) Local() bool { return pl.Node == nil }
 
 // CrossWorkerChild reports whether a child with range r counts towards
 // making the group dominant when it completes: a cross-worker task of a

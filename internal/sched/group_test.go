@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -216,13 +217,24 @@ func TestPlaceGroup(t *testing.T) {
 		nodeParent *GroupNode
 		childDepth int
 		localInMig bool
+		local      bool
 	}{
-		{"cross-worker group under a parent group", parent, 1, false, cross, false, true, parent, 2, false},
-		{"cross-worker group outside any group starts a tree", nil, 0, false, cross, false, true, nil, 0, false},
-		{"migrated parent keeps local children in the migration family", parent, 1, true, cross, false, true, parent, 2, true},
-		{"non-cross group inherits group, depth and family", parent, 1, true, local, false, false, nil, 1, true},
-		{"fresh cross-worker group starts a tree at depth 0", parent, 1, true, cross, true, true, nil, 0, false},
-		{"fresh non-cross group has no group, depth 0, primary family", parent, 1, true, local, true, false, nil, 0, false},
+		{"cross-worker group under a parent group", parent, 1, false, cross, false, true, parent, 2, false, false},
+		{"cross-worker group outside any group starts a tree", nil, 0, false, cross, false, true, nil, 0, false, false},
+		{"migrated parent keeps local children in the migration family", parent, 1, true, cross, false, true, parent, 2, true, false},
+		{"non-cross group inherits group, depth and family", parent, 1, true, local, false, false, nil, 1, true, true},
+		{"non-cross group outside any group is local too", nil, 0, false, local, false, false, nil, 0, false, true},
+		{"fresh cross-worker group starts a tree at depth 0", parent, 1, true, cross, true, true, nil, 0, false, false},
+		// A fresh group's range lives on the new domain's axis, so its
+		// children cannot inherit the parent task's range: never local,
+		// whatever the range (a domain's full range is cross-worker).
+		{"fresh group is never local", parent, 1, true, local, true, true, nil, 0, false, false},
+		// floor(Y) is the entity just past the range, so an integral Y
+		// makes [0.5, 1.0) cross-worker: it takes the full path.
+		{"integral Y is cross-worker", parent, 1, false, Range{X: 0.5, Y: 1.0}, false, true, parent, 2, false, false},
+		{"one whole cell is cross-worker", nil, 0, false, Range{X: 2, Y: 3}, false, true, nil, 0, false, false},
+		{"zero-width range inside a cell is local", parent, 1, false, Range{X: 1.5, Y: 1.5}, false, false, nil, 1, false, true},
+		{"zero-width range on a cell boundary is local", parent, 1, false, Range{X: 2, Y: 2}, false, false, nil, 1, false, true},
 	}
 	for _, c := range cases {
 		pl := PlaceGroup(c.parent, c.depth, c.inMigration, c.r, c.fresh)
@@ -240,6 +252,9 @@ func TestPlaceGroup(t *testing.T) {
 				t.Errorf("%s: node %v under %v, want range %v under %v", c.name, pl.Node, pl.Node.Parent(), c.r, c.nodeParent)
 			}
 		}
+		if pl.Local() != c.local {
+			t.Errorf("%s: Local = %v, want %v", c.name, pl.Local(), c.local)
+		}
 		if pl.ChildGroup != wantGroup || pl.ChildDepth != c.childDepth || pl.LocalInMigration != c.localInMig {
 			t.Errorf("%s: children in %v at depth %d, migration=%v; want %v at %d, %v",
 				c.name, pl.ChildGroup, pl.ChildDepth, pl.LocalInMigration, wantGroup, c.childDepth, c.localInMig)
@@ -251,6 +266,57 @@ func TestPlaceGroup(t *testing.T) {
 		}
 		if pl.CrossWorkerChild(local) {
 			t.Errorf("%s: CrossWorkerChild(local) = true", c.name)
+		}
+	}
+}
+
+// The lemma the work-first path rests on (GroupPlacement.Local): inside a
+// range that is not cross-worker, every slice a Splitter can hand out has
+// the same owner and is again not cross-worker — so it would be placed
+// Local too — and a thief's Rebase of it is owned by the thief, is not
+// cross-worker and never hits the axis clamp. Endpoints sit on a 2^-20
+// grid so float rounding in Rebase cannot reach a cell boundary.
+func TestLocalRangeLemma(t *testing.T) {
+	rnd := rand.New(rand.NewSource(14))
+	const grid = 1 << 20
+	for trial := 0; trial < 20000; trial++ {
+		a := Axis{N: 1 + rnd.Intn(16), Offset: rnd.Intn(5)}
+		cell := a.Offset + rnd.Intn(a.N)
+		lo := rnd.Intn(grid)
+		hi := lo + rnd.Intn(grid-lo) // hi < grid: Y stays below cell+1; hi == lo is zero-width
+		r := Range{X: float64(cell) + float64(lo)/grid, Y: float64(cell) + float64(hi)/grid}
+		if r.IsCrossWorker() || r.Owner() != cell {
+			t.Fatalf("generator: %v is not local to cell %d", r, cell)
+		}
+
+		n := 1 + rnd.Intn(6)
+		hints := make([]float64, n)
+		sum := 0.0
+		for i := range hints {
+			if rnd.Intn(4) > 0 { // a quarter of the hints are zero
+				hints[i] = float64(rnd.Intn(1000)) / 8
+			}
+			sum += hints[i]
+		}
+		// Exact, short, overflowing and unknown totals.
+		total := []float64{sum, sum * 2, sum / 2, 0}[rnd.Intn(4)]
+		s := NewSplitter(r, total)
+		for i, h := range hints {
+			sub := s.NextChild(h)
+			if sub.Owner() != cell || sub.IsCrossWorker() {
+				t.Fatalf("%v total %v: child %d = %v leaves cell %d", r, total, i, sub, cell)
+			}
+			if !PlaceGroup(nil, 0, false, sub, false).Local() {
+				t.Fatalf("%v: child %d = %v not placed Local", r, i, sub)
+			}
+			thief := a.Offset + rnd.Intn(a.N)
+			rb := a.Rebase(sub, thief)
+			if rb.Owner() != thief || rb.IsCrossWorker() {
+				t.Fatalf("%v on %+v: Rebase(%v, %d) = %v", r, a, sub, thief, rb)
+			}
+			if want := float64(thief) + (sub.X - float64(cell)); rb.X != want {
+				t.Fatalf("%v on %+v: Rebase(%v, %d) clamped: X = %v, want %v", r, a, sub, thief, rb.X, want)
+			}
 		}
 	}
 }

@@ -90,15 +90,24 @@ func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, par
 	if equal {
 		total = float64(len(spec.Children))
 	}
-	split := sched.NewSplitter(parentRange, total)
+	// Only a cross-worker group splits its range; the children of a
+	// worker-local one inherit it (sched.GroupPlacement.Local).
+	var split *sched.Splitter
+	if !pl.Local() {
+		split = sched.NewSplitter(parentRange, total)
+	}
 
 	var inline *Task
 	for _, cs := range spec.Children {
-		hint := cs.Work
-		if equal {
-			hint = 1
+		rng, kind := parentRange, sched.KindLocal
+		if !pl.Local() {
+			hint := cs.Work
+			if equal {
+				hint = 1
+			}
+			rng = split.NextChild(hint)
+			kind = sched.Classify(rng, iExec)
 		}
-		rng := split.NextChild(hint)
 		child := e.newTask(cs.Body, cs.Work)
 		child.dom = dom
 		child.rng = rng
@@ -108,7 +117,7 @@ func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, par
 		child.crossWorker = pl.CrossWorkerChild(rng)
 		child.sbSize = cs.Size
 		*oh += e.costs.SpawnOverhead
-		switch sched.Classify(rng, iExec) {
+		switch kind {
 		case sched.KindMigrate:
 			ent := dom.entities[dom.Physical(rng.Owner())]
 			child.ent = ent

@@ -13,22 +13,30 @@
 #      order. Findings not recorded in lint-baseline.json fail the gate.
 #   3. go build ./...                                everything compiles
 #   4. go test ./...                                 full test suite
-#   5. go test -race internal/sched + internal/runtime + internal/trace
+#   5. go test -race the root package + internal/sched + internal/runtime
+#      + internal/deque + internal/metrics + internal/obs + internal/trace
 #      + internal/server + internal/cluster + cmd/adwsd
 #      The scheduler core's group tree (written by owners, read by
-#      thieves), the runtime's lock-free deques, the tracer's per-worker
-#      ring buffers, the job-serving admission path, and the cluster's
-#      routing ledger are the places where a data race would silently
-#      corrupt results; the race detector is the authority on all of them.
+#      thieves), the runtime's queues, the three packages that are
+#      lock-free by design (the Chase-Lev deque, the metrics registry, the
+#      flight recorder), the tracer's per-worker ring buffers, the
+#      job-serving admission path, and the cluster's routing ledger are
+#      the places where a data race would silently corrupt results; the
+#      race detector is the authority on all of them.
 #   6. go test -run='^$' -bench=. -benchtime=1x ./...   benchmark smoke
 #      One iteration of every benchmark, so a refactor that breaks a
 #      benchmark harness (or deadlocks the parked-pool submit path) fails
 #      here instead of at measurement time.
-#   7. ADWS_BENCH_SMOKE=1 flight-recorder overhead gate
-#      Measures the spawn-heavy tree with and without the always-on
-#      flight recorder (internal/runtime TestFlightOverheadSmoke) and
-#      fails if the recorder-on run exceeds a generous 1.5x budget; the
-#      precise <=3% acceptance numbers live in results/flight_recorder.txt.
+#   7. ADWS_BENCH_SMOKE=1 timing gates (internal/runtime)
+#      TestFlightOverheadSmoke measures the spawn-heavy tree with and
+#      without the always-on flight recorder and fails if the recorder-on
+#      run exceeds a generous 1.5x budget; the precise <=3% acceptance
+#      numbers live in results/flight_recorder.txt.
+#      TestLocalSpawnRatioSmoke measures the same tree at one worker under
+#      WS and ADWS in alternating rounds and fails if the median per-round
+#      ADWS : WS ratio exceeds 1.15: the headline ratio, which worker-local
+#      task groups keep near 1.05 by skipping the range split
+#      (EXPERIMENTS.md).
 #   8. scripts/bench.sh -smoke                       trajectory smoke
 #      Schema-checks every committed BENCH_*.json perf-trajectory point
 #      and does one tiny adwsload run whose /metrics exposition is
@@ -68,14 +76,14 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/sched/... ./internal/runtime/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/..."
-go test -race ./internal/sched/... ./internal/runtime/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/...
+echo "==> go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/..."
+go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/...
 
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./...   (benchmark smoke)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
-echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate"
-ADWS_BENCH_SMOKE=1 go test ./internal/runtime/ -run TestFlightOverheadSmoke -count=1
+echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate + ADWS : WS spawn-ratio gate"
+ADWS_BENCH_SMOKE=1 go test ./internal/runtime/ -run 'TestFlightOverheadSmoke|TestLocalSpawnRatioSmoke' -count=1
 
 scripts/bench.sh -smoke
 
