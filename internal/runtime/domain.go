@@ -52,7 +52,10 @@ func (e *entity) push(t *task, migration bool) {
 	e.mu.Unlock()
 }
 
-func (e *entity) popLocal() *task {
+// popLocal pops the entity's next local task of depth >= minDepth
+// (sched.QueueSet.PopLocalFrom). WS domains have no depths: every task and
+// every floor there is 0.
+func (e *entity) popLocal(minDepth int) *task {
 	if e.ws != nil {
 		t, ok := e.ws.PopBottom()
 		if !ok {
@@ -61,7 +64,7 @@ func (e *entity) popLocal() *task {
 		return t
 	}
 	e.mu.Lock()
-	t, ok := e.qs.PopLocal()
+	t, ok := e.qs.PopLocalFrom(minDepth)
 	e.mu.Unlock()
 	if !ok {
 		return nil

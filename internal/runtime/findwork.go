@@ -7,10 +7,21 @@ import (
 
 // findTask implements GETRUNNABLETASK (paper Fig. 11) for this worker:
 // local pops from the entities the worker acts for, then steals within the
-// current dominant-group steal range (ADWS) or uniformly (WS). minDepth is
-// advisory for helping-wait callers and applies to steals only; local pops
-// always succeed to preserve liveness (DESIGN.md).
-func (w *worker) findTask(minDepth int) *task {
+// current dominant-group steal range (ADWS) or uniformly (WS).
+//
+// g is the group whose Wait the worker is blocked in, nil at the top of the
+// scheduler loop. A helping wait runs only tasks of depth >= g.ChildDepth:
+// the floor binds the local pops from queues of g's own domain as well as
+// every steal. A shallower task belongs to an enclosing group; run under
+// the wait it would bury the wait's continuation — the only thing that
+// feeds the workers g's children were migrated to — beneath a whole
+// unrelated subtree. It stays queued until the wait returns, and is then
+// run by its owner or stolen once the enclosing group is dominant, which is
+// the paper's order ("returned continuations have the highest priority",
+// §3.1). That this cannot deadlock is argued in DESIGN.md. Queues of another
+// domain (multi-level policies) number their depths from their own root and
+// are popped without a floor.
+func (w *worker) findTask(g *taskGroup) *task {
 	cands := w.candidates()
 	// Claim a freshly submitted root task if we act for its owner entity.
 	// Only the top-level scheduler loop claims roots (execDepth == 0):
@@ -22,14 +33,23 @@ func (w *worker) findTask(minDepth int) *task {
 			return t
 		}
 	}
+	var floorDom *domain
+	floor := 0
+	if g != nil {
+		floorDom, floor = g.dom, g.ChildDepth
+	}
 	for _, ent := range cands {
-		if t := ent.popLocal(); t != nil {
+		from := 0
+		if ent.dom == floorDom {
+			from = floor
+		}
+		if t := ent.popLocal(from); t != nil {
 			w.noteStart(ent, t)
 			return t
 		}
 	}
 	for _, ent := range cands {
-		if t := w.trySteal(ent, minDepth); t != nil {
+		if t := w.trySteal(ent, floor); t != nil {
 			w.noteStart(ent, t)
 			return t
 		}

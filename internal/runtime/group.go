@@ -145,8 +145,12 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 }
 
 // Wait blocks until every spawned child (and its descendants) completed.
-// The calling worker executes pending tasks while it waits. Wait finishes
-// the group: calling Wait twice, or Spawn after Wait, panics.
+// The calling worker executes pending tasks while it waits, but only tasks
+// at least as deep as the group's children — its own queued ones first,
+// then what the steal plan reaches at that depth (findTask): work of an
+// enclosing group stays queued, so the wait returns as soon as the group is
+// done and the continuation is never buried under an unrelated subtree.
+// Wait finishes the group: calling Wait twice, or Spawn after Wait, panics.
 func (tg *TaskGroup) Wait() {
 	g := tg.g
 	if g.waited {
@@ -173,7 +177,7 @@ func (tg *TaskGroup) Wait() {
 	spins := 0
 	var searchStart int64
 	for g.remaining.Load() > 0 {
-		if t := w.findTask(g.ChildDepth); t != nil {
+		if t := w.findTask(g); t != nil {
 			if searchStart != 0 {
 				w.stats.waitIdleNS.Add(now() - searchStart)
 				searchStart = 0
@@ -194,7 +198,7 @@ func (tg *TaskGroup) Wait() {
 		// this worker; the recheck inside park closes the race where the
 		// completion landed between findTask and advertising.
 		spins = 0
-		if t := w.park(g, g.ChildDepth); t != nil {
+		if t := w.park(g); t != nil {
 			if searchStart != 0 {
 				w.stats.waitIdleNS.Add(now() - searchStart)
 				searchStart = 0

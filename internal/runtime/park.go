@@ -215,7 +215,7 @@ func (p *Pool) wakeForRoot(e *entity) {
 // last completion then also wakes the worker (Pool.taskDone). park returns
 // a task when the recheck found one (the caller executes it) and nil after
 // a wakeup, a cancellation, or shutdown.
-func (w *worker) park(g *taskGroup, minDepth int) *task {
+func (w *worker) park(g *taskGroup) *task {
 	p := w.pool
 	// The worker is going idle: clear the live-introspection current job so
 	// /debug/sched and the watchdog stop attributing runtime to it.
@@ -230,7 +230,7 @@ func (w *worker) park(g *taskGroup, minDepth int) *task {
 		p.parkCancel(w)
 		return nil
 	}
-	if t := w.findTask(minDepth); t != nil {
+	if t := w.findTask(g); t != nil {
 		p.parkCancel(w)
 		return t
 	}

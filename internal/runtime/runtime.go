@@ -627,7 +627,7 @@ func (w *worker) loop(pin bool) {
 	p := w.pool
 	idleSpins := 0
 	for !p.shutdown.Load() {
-		if t := w.findTask(0); t != nil {
+		if t := w.findTask(nil); t != nil {
 			idleSpins = 0
 			w.markIdleEnd()
 			w.execute(t)
@@ -642,7 +642,7 @@ func (w *worker) loop(pin bool) {
 		// Park until a targeted wakeup (push, root submission, shutdown).
 		// No timeout: a fully idle pool blocks and burns zero CPU.
 		idleSpins = 0
-		if t := w.park(nil, 0); t != nil {
+		if t := w.park(nil); t != nil {
 			w.markIdleEnd()
 			w.execute(t)
 		}

@@ -14,13 +14,6 @@ func (d *Deque[T]) Len() int { return len(d.items) }
 // PushTop appends an item at the top (local LIFO end).
 func (d *Deque[T]) PushTop(v T) { d.items = append(d.items, v) }
 
-// PushBottom prepends an item at the bottom.
-func (d *Deque[T]) PushBottom(v T) {
-	d.items = append(d.items, v) // grow
-	copy(d.items[1:], d.items)
-	d.items[0] = v
-}
-
 // PopTop removes and returns the top item (most recently PushTop'd).
 func (d *Deque[T]) PopTop() (T, bool) {
 	var zero T
@@ -95,15 +88,20 @@ func (q *QueueSet[T]) PushMigration(d int, v T) {
 	q.nMig++
 }
 
-// PopLocal implements the local side of GetRunnableTask (paper Fig. 11
-// lines 33–38): primary queues are checked from the bottom up (deepest
-// depth first, LIFO within a depth), then migration queues from the top
-// down (shallowest depth first, FIFO within a depth). This yields the
-// left-to-right execution order of Fig. 8.
-func (q *QueueSet[T]) PopLocal() (T, bool) {
+// PopLocalFrom implements the local side of GetRunnableTask (paper Fig. 11
+// lines 33–38) for an owner that may only run tasks of depth >= minDepth:
+// primary queues are checked from the bottom up (deepest depth first, LIFO
+// within a depth) down to minDepth, then migration queues from minDepth up
+// (shallowest depth first, FIFO within a depth). This yields the
+// left-to-right execution order of Fig. 8. A worker blocked in a task-group
+// wait passes the depth of the group's children, so that the tasks of
+// enclosing groups stay queued — for the owner once the wait returns, or
+// for a thief — instead of running nested under the wait and burying its
+// continuation; everyone else passes 0 (PopLocal).
+func (q *QueueSet[T]) PopLocalFrom(minDepth int) (T, bool) {
 	var zero T
 	if q.nPrimary > 0 {
-		for d := len(q.primary) - 1; d >= 0; d-- {
+		for d := len(q.primary) - 1; d >= minDepth; d-- {
 			if v, ok := q.primary[d].PopTop(); ok {
 				q.nPrimary--
 				return v, true
@@ -111,7 +109,7 @@ func (q *QueueSet[T]) PopLocal() (T, bool) {
 		}
 	}
 	if q.nMig > 0 {
-		for d := 0; d < len(q.migration); d++ {
+		for d := minDepth; d < len(q.migration); d++ {
 			if v, ok := q.migration[d].PopBottom(); ok {
 				q.nMig--
 				return v, true
@@ -120,6 +118,9 @@ func (q *QueueSet[T]) PopLocal() (T, bool) {
 	}
 	return zero, false
 }
+
+// PopLocal is PopLocalFrom without a depth floor.
+func (q *QueueSet[T]) PopLocal() (T, bool) { return q.PopLocalFrom(0) }
 
 // StealMigration implements a thief's first preference (Fig. 11 lines
 // 44–46): migration queues checked from the bottom up (deepest first),

@@ -25,10 +25,6 @@ func TestDequeEnds(t *testing.T) {
 	if v, _ := d.PopBottom(); v != 1 {
 		t.Errorf("PopBottom = %d, want 1 (oldest)", v)
 	}
-	d.PushBottom(0)
-	if v, _ := d.PopBottom(); v != 0 {
-		t.Errorf("PopBottom after PushBottom = %d, want 0", v)
-	}
 	if v, _ := d.PopTop(); v != 2 {
 		t.Errorf("final PopTop = %d, want 2", v)
 	}
@@ -61,6 +57,39 @@ func TestQueueSetLocalOrder(t *testing.T) {
 	}
 	if _, ok := q.PopLocal(); ok {
 		t.Error("PopLocal on empty set succeeded")
+	}
+}
+
+func TestQueueSetPopLocalFromFloor(t *testing.T) {
+	// A floored pop takes primaries deepest-first down to the floor, then
+	// migrations from the floor up, and leaves everything shallower queued.
+	var q QueueSet[string]
+	q.PushPrimary(0, "p0")
+	q.PushPrimary(1, "p1")
+	q.PushPrimary(3, "p3")
+	q.PushMigration(0, "m0")
+	q.PushMigration(1, "m1")
+	q.PushMigration(2, "m2")
+
+	for i, w := range []string{"p3", "p1", "m1", "m2"} {
+		if v, ok := q.PopLocalFrom(1); !ok || v != w {
+			t.Errorf("PopLocalFrom(1) #%d = %q,%v, want %q", i, v, ok, w)
+		}
+	}
+	if v, ok := q.PopLocalFrom(1); ok {
+		t.Errorf("PopLocalFrom(1) took %q from below the floor", v)
+	}
+	if q.PrimaryLen() != 1 || q.MigrationLen() != 1 {
+		t.Errorf("left %d primary / %d migration, want 1 / 1", q.PrimaryLen(), q.MigrationLen())
+	}
+	// A floor beyond the deepest queue is simply empty.
+	if _, ok := q.PopLocalFrom(9); ok {
+		t.Error("PopLocalFrom(9) succeeded")
+	}
+	for i, w := range []string{"p0", "m0"} {
+		if v, ok := q.PopLocal(); !ok || v != w {
+			t.Errorf("PopLocal #%d = %q,%v, want %q", i, v, ok, w)
+		}
 	}
 }
 
@@ -177,7 +206,7 @@ func TestQueueSetConservationProperty(t *testing.T) {
 				next++
 				pushed++
 			case 2:
-				if v, ok := q.PopLocal(); ok {
+				if v, ok := q.PopLocalFrom(int(op % 3)); ok {
 					if popped[v] {
 						return false
 					}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -56,6 +57,21 @@ type Summary struct {
 	// dominant-group hit rate.
 	DominantHits, DominantMisses int64
 
+	// ShallowHelps counts tasks that began on a worker whose innermost open
+	// wait is for deeper children (EvTaskBegin.Depth < EvWaitEnter.Depth on
+	// the same worker): work of an enclosing group run nested under the
+	// wait, whose continuation cannot resume until that whole subtree ends.
+	// ShallowHelpTime is the time those tasks held their worker, outermost
+	// spans only. The runtime's helping waits keep both at zero inside one
+	// scheduling domain (DESIGN.md, "Depth-floored helping waits"). On the
+	// simulator, whose waits suspend instead of nesting, a shallow help
+	// delays the continuation by one task, not by a subtree, and the count
+	// is a lower bound: its EvWaitEnter carries the waiting task's own
+	// depth, one less than the children's, so helps at exactly that depth
+	// are missed. Both are exact only when Drops is 0.
+	ShallowHelps    int64
+	ShallowHelpTime int64
+
 	// Ties, Flattens, Unties, Unflattens count multi-level boundary
 	// crossings.
 	Ties, Flattens, Unties, Unflattens int64
@@ -79,14 +95,21 @@ func Summarize(events []Event, workers int) Summary {
 	for i := range s.PerWorker {
 		s.PerWorker[i].Worker = i
 	}
-	// waitStart tracks the open wait per waiting task ordinal (a task's
-	// groups are sequential, so one slot per task suffices); parkStart the
-	// open park per worker.
-	waitStart := make(map[int64]int64)
+	// parkStart tracks the open park per worker.
 	parkStart := make([]int64, workers)
 	for i := range parkStart {
 		parkStart[i] = -1
 	}
+	// Per worker: the open waits, innermost last (a task's groups are
+	// sequential, so its ordinal identifies its open wait), and the open
+	// shallow helps with the start of the outermost one.
+	type openWait struct {
+		task, start int64
+		depth       int32
+	}
+	waits := make([][]openWait, workers)
+	shallow := make([][]int64, workers)
+	shallowStart := make([]int64, workers)
 	for _, ev := range events {
 		if int(ev.Worker) >= workers || ev.Worker < 0 {
 			continue
@@ -96,9 +119,26 @@ func Summarize(events []Event, workers int) Summary {
 		case EvTaskBegin:
 			w.Tasks++
 			s.Tasks++
+			if ws := waits[ev.Worker]; len(ws) > 0 && ws[len(ws)-1].depth > ev.Depth {
+				s.ShallowHelps++
+				if len(shallow[ev.Worker]) == 0 {
+					shallowStart[ev.Worker] = ev.Time
+				}
+				shallow[ev.Worker] = append(shallow[ev.Worker], ev.Task)
+			}
 		case EvTaskEnd:
-			// Task spans are counted at EvTaskBegin; the matching end
-			// carries no additional metric.
+			// Task spans are counted at EvTaskBegin; the end only closes a
+			// shallow help, and discards a wait of the task whose exit the
+			// recorder lost — left open it would turn every later task
+			// on the worker into a shallow help.
+			if sh := shallow[ev.Worker]; len(sh) > 0 && sh[len(sh)-1] == ev.Task {
+				shallow[ev.Worker] = sh[:len(sh)-1]
+				if len(sh) == 1 {
+					s.ShallowHelpTime += ev.Time - shallowStart[ev.Worker]
+				}
+			}
+			waits[ev.Worker] = slices.DeleteFunc(waits[ev.Worker],
+				func(ow openWait) bool { return ow.task == ev.Task })
 		case EvStealAttempt:
 			w.StealAttempts++
 			s.StealAttempts++
@@ -125,14 +165,20 @@ func Summarize(events []Event, workers int) Summary {
 			w.Migrations++
 			s.Migrations++
 		case EvWaitEnter:
-			waitStart[ev.Task] = ev.Time
+			waits[ev.Worker] = append(waits[ev.Worker], openWait{ev.Task, ev.Time, ev.Depth})
 		case EvWaitExit:
-			if t0, ok := waitStart[ev.Task]; ok {
-				delete(waitStart, ev.Task)
-				w.WaitCount++
-				w.WaitTime += ev.Time - t0
-				s.WaitCount++
-				s.WaitTime += ev.Time - t0
+			// Nested waits exit innermost first; suspended ones (the
+			// simulator's) in any order.
+			ws := waits[ev.Worker]
+			for i := len(ws) - 1; i >= 0; i-- {
+				if ws[i].task == ev.Task {
+					w.WaitCount++
+					w.WaitTime += ev.Time - ws[i].start
+					s.WaitCount++
+					s.WaitTime += ev.Time - ws[i].start
+					waits[ev.Worker] = append(ws[:i], ws[i+1:]...)
+					break
+				}
 			}
 		case EvPark:
 			w.Parks++
@@ -234,6 +280,10 @@ func (s Summary) String() string {
 	fmt.Fprintf(&b, "  dominant-group hit rate: %.2f (%d/%d)\n",
 		s.DominantGroupHitRate(), s.DominantHits, s.DominantHits+s.DominantMisses)
 	fmt.Fprintf(&b, "  waits: count=%d time=%d\n", s.WaitCount, s.WaitTime)
+	if s.ShallowHelps > 0 {
+		fmt.Fprintf(&b, "  shallow helps under a deeper wait: count=%d time=%d\n",
+			s.ShallowHelps, s.ShallowHelpTime)
+	}
 	if s.Parks+s.Wakes > 0 {
 		fmt.Fprintf(&b, "  parking: parks=%d wakes=%d parked-time=%d\n",
 			s.Parks, s.Wakes, s.ParkTime)

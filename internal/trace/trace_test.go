@@ -172,3 +172,54 @@ func TestStealRatio(t *testing.T) {
 		t.Errorf("StealRatio = %q", got)
 	}
 }
+
+// TestSummarizeShallowHelps: a task that begins under a wait for deeper
+// children is a shallow help; its nested shallow helps count too, but only
+// the outermost span is timed. Equal or deeper tasks, and tasks on another
+// worker, are the wait's own work.
+func TestSummarizeShallowHelps(t *testing.T) {
+	evs := []Event{
+		{Type: EvTaskBegin, Worker: 0, Task: 1, Depth: 0, Time: 0},
+		{Type: EvWaitEnter, Worker: 0, Task: 1, Depth: 2, Time: 1},
+		{Type: EvTaskBegin, Worker: 0, Task: 2, Depth: 2, Time: 2}, // the wait's own child
+		{Type: EvTaskEnd, Worker: 0, Task: 2, Depth: 2, Time: 3},
+		{Type: EvTaskBegin, Worker: 1, Task: 3, Depth: 0, Time: 3}, // another worker
+		{Type: EvTaskEnd, Worker: 1, Task: 3, Depth: 0, Time: 4},
+		{Type: EvTaskBegin, Worker: 0, Task: 4, Depth: 1, Time: 10}, // shallow
+		{Type: EvWaitEnter, Worker: 0, Task: 4, Depth: 1, Time: 11},
+		{Type: EvTaskBegin, Worker: 0, Task: 5, Depth: 0, Time: 12}, // shallow, nested
+		{Type: EvTaskEnd, Worker: 0, Task: 5, Depth: 0, Time: 15},
+		{Type: EvTaskBegin, Worker: 0, Task: 6, Depth: 1, Time: 16}, // at the inner floor
+		{Type: EvTaskEnd, Worker: 0, Task: 6, Depth: 1, Time: 17},
+		{Type: EvWaitExit, Worker: 0, Task: 4, Depth: 1, Time: 18},
+		{Type: EvTaskEnd, Worker: 0, Task: 4, Depth: 1, Time: 30},
+		{Type: EvWaitExit, Worker: 0, Task: 1, Depth: 2, Time: 31},
+		{Type: EvTaskEnd, Worker: 0, Task: 1, Depth: 0, Time: 34},
+	}
+	s := Summarize(evs, 2)
+	if s.ShallowHelps != 2 {
+		t.Errorf("ShallowHelps = %d, want 2", s.ShallowHelps)
+	}
+	if s.ShallowHelpTime != 20 {
+		t.Errorf("ShallowHelpTime = %d, want 20 (task 4's span)", s.ShallowHelpTime)
+	}
+	if s.WaitCount != 2 {
+		t.Errorf("WaitCount = %d, want 2", s.WaitCount)
+	}
+}
+
+// A wait whose exit the recorder lost closes at its task's end instead of
+// staying the worker's innermost wait for the rest of the trace.
+func TestSummarizeShallowHelpsLostWaitExit(t *testing.T) {
+	evs := []Event{
+		{Type: EvTaskBegin, Worker: 0, Task: 1, Depth: 3, Time: 0},
+		{Type: EvWaitEnter, Worker: 0, Task: 1, Depth: 4, Time: 1},
+		// EvWaitExit of task 1 dropped.
+		{Type: EvTaskEnd, Worker: 0, Task: 1, Depth: 3, Time: 5},
+		{Type: EvTaskBegin, Worker: 0, Task: 2, Depth: 1, Time: 6},
+		{Type: EvTaskEnd, Worker: 0, Task: 2, Depth: 1, Time: 7},
+	}
+	if s := Summarize(evs, 1); s.ShallowHelps != 0 || s.WaitCount != 0 {
+		t.Errorf("ShallowHelps = %d, WaitCount = %d, want 0, 0", s.ShallowHelps, s.WaitCount)
+	}
+}

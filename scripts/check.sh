@@ -27,7 +27,7 @@
 #      One iteration of every benchmark, so a refactor that breaks a
 #      benchmark harness (or deadlocks the parked-pool submit path) fails
 #      here instead of at measurement time.
-#   7. ADWS_BENCH_SMOKE=1 timing gates (internal/runtime)
+#   7. ADWS_BENCH_SMOKE=1 timing gates (internal/runtime, internal/kernels)
 #      TestFlightOverheadSmoke measures the spawn-heavy tree with and
 #      without the always-on flight recorder and fails if the recorder-on
 #      run exceeds a generous 1.5x budget; the precise <=3% acceptance
@@ -37,6 +37,13 @@
 #      ADWS : WS ratio exceeds 1.15: the headline ratio, which worker-local
 #      task groups keep near 1.05 by skipping the range split
 #      (EXPERIMENTS.md).
+#      TestKernelBalanceSmoke (internal/kernels; skipped below two CPUs)
+#      runs Quicksort 1 M and the kd-tree build over 300 k points at two
+#      workers under ADWS and WS alternately and fails if the median of
+#      the paired ADWS : WS wall-time ratios exceeds 1.20: the
+#      kernels/adws_ws_ratio of the benchmark, which depth-floored helping
+#      waits brought from 1.5 on these two kernels to about 1.1
+#      (EXPERIMENTS.md, "The idle worker").
 #   8. scripts/bench.sh -smoke                       trajectory smoke
 #      Schema-checks every committed BENCH_*.json perf-trajectory point
 #      and does one tiny adwsload run whose /metrics exposition is
@@ -82,8 +89,9 @@ go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/...
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./...   (benchmark smoke)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
-echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate + ADWS : WS spawn-ratio gate"
+echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate + ADWS : WS spawn-ratio gate + kernel balance gate"
 ADWS_BENCH_SMOKE=1 go test ./internal/runtime/ -run 'TestFlightOverheadSmoke|TestLocalSpawnRatioSmoke' -count=1
+ADWS_BENCH_SMOKE=1 go test ./internal/kernels/ -run 'TestKernelBalanceSmoke' -count=1
 
 scripts/bench.sh -smoke
 
