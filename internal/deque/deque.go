@@ -1,10 +1,11 @@
 // Package deque implements the Chase–Lev lock-free work-stealing deque
 // (Chase & Lev, SPAA 2005; Lê et al., PPoPP 2013 for the memory-model
 // treatment). The owner pushes and pops at the bottom without contention;
-// thieves steal from the top with a single CAS. The adws runtime uses it
-// for conventional work-stealing domains, where each queue has exactly one
-// owning worker; ADWS's depth-separated primary/migration queues need
-// multi-queue operations and use a locked structure instead.
+// thieves steal from the top with a single CAS. The adws runtime uses one
+// per task depth for the primary tasks an entity's own worker pushes, under
+// ADWS and conventional work stealing alike (the latter has one depth);
+// queues with more than one producer — migrated tasks, cache-level entities
+// — are a locked sched.QueueSet instead (internal/runtime/domain.go).
 package deque
 
 import "sync/atomic"
@@ -40,8 +41,14 @@ type Deque[T any] struct {
 	ring   atomic.Pointer[ring[T]]
 }
 
-// MinCapacity is the initial ring size.
-const MinCapacity = 64
+// MinCapacity is the initial ring size. It is small because the runtime
+// keeps a ring per task depth and does not clear a slot on pop: a popped
+// slot pins its task, and the finished subtree the task's group reaches,
+// until the slot is overwritten or the drained ring is cleared (Forget),
+// and the garbage collector marks all of it meanwhile. A depth-first
+// frontier holds about one task per level, so a ring this size is reused
+// within a few pushes; growth is amortized.
+const MinCapacity = 8
 
 // New creates an empty deque.
 func New[T any]() *Deque[T] {
@@ -105,6 +112,28 @@ func (d *Deque[T]) PopBottom() (*T, bool) {
 		return v, true
 	default:
 		return r.get(b), true
+	}
+}
+
+// Forget clears the slots of a drained deque, so that what was popped and
+// stolen from it stops being reachable through the ring. Only the owning
+// worker may call it, and only right after PopBottom reported the deque
+// empty: top then equals bottom, and a thief still holding an older top
+// fails its CAS whatever it reads. The slots written since the deque was
+// last all nil are one run around bottom — up to the highest bottom reached,
+// down to the lowest top — so the cost is one store per slot that run
+// holds, at most one per push since the last call.
+//
+//adws:hotpath
+func (d *Deque[T]) Forget() {
+	b := d.bottom.Load()
+	r := d.ring.Load()
+	for i := b; i-b <= r.mask && r.get(i) != nil; i++ {
+		r.put(i, nil)
+	}
+	// Slot b is nil now, so the walk down ends within one lap.
+	for i := b - 1; r.get(i) != nil; i-- {
+		r.put(i, nil)
 	}
 }
 

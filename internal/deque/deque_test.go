@@ -71,8 +71,42 @@ func TestGrowth(t *testing.T) {
 	}
 }
 
+// TestForgetClearsSlots: whatever mix of pops, steals, growth and index
+// wrap-around drained the deque, Forget leaves no slot pointing at a
+// consumed element, and the deque keeps working.
+func TestForgetClearsSlots(t *testing.T) {
+	d := New[int]()
+	vals := make([]int, 5*MinCapacity)
+	for round, n := range []int{3, MinCapacity, 1, 2*MinCapacity + 1, 5, len(vals)} {
+		for i := 0; i < n; i++ {
+			d.PushBottom(&vals[i])
+			if i%4 == 3 {
+				d.Steal()
+			}
+		}
+		for {
+			if _, ok := d.PopBottom(); !ok {
+				break
+			}
+		}
+		d.Forget()
+		r := d.ring.Load()
+		for i := range r.buf {
+			if v := r.buf[i].Load(); v != nil {
+				t.Fatalf("round %d: slot %d of %d still set after Forget", round, i, len(r.buf))
+			}
+		}
+	}
+	d.Forget() // nothing to clear
+	d.PushBottom(&vals[0])
+	if v, ok := d.Steal(); !ok || v != &vals[0] {
+		t.Fatalf("Steal after Forget = %v,%v", v, ok)
+	}
+}
+
 // TestConcurrentStress: one owner pushes/pops while thieves steal; every
-// element must be consumed exactly once.
+// element must be consumed exactly once. The owner calls Forget whenever it
+// finds the deque empty, with thieves in flight.
 func TestConcurrentStress(t *testing.T) {
 	const n = 200_000
 	const thieves = 4
@@ -121,6 +155,8 @@ func TestConcurrentStress(t *testing.T) {
 			if v, ok := d.PopBottom(); ok {
 				sum.Add(*v)
 				consumed.Add(1)
+			} else {
+				d.Forget()
 			}
 		}
 	}

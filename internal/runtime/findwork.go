@@ -184,7 +184,7 @@ func (w *worker) trySteal(ent *entity, minDepth int) *task {
 		v := sched.UniformVictim(w.rng, d.N, ent.idx)
 		ev.Type, ev.Victim = trace.EvStealAttempt, int32(v)
 		w.stealEvent(ev, nil)
-		t := d.entities[v].stealAny()
+		t := d.entities[v].stealPrimary(0)
 		w.noteStealProbe(probeStart)
 		if t != nil {
 			w.noteSteal(t)

@@ -95,10 +95,10 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 	}
 
 	if !g.adws {
-		// Conventional help-first WS: push to the spawning entity's deque;
+		// Conventional help-first WS: push to the spawning entity's queue;
 		// the owner pops LIFO, thieves steal the oldest.
 		t.ent = g.ent
-		g.ent.push(t, false)
+		g.ent.push(g.parent.w.id, t, false)
 		g.pool.wakeFor(g.ent, t.job)
 		return
 	}
@@ -124,7 +124,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 				Self: int32(g.iExec), Victim: int32(t.rng.Owner()), Task: t.seq,
 				Job: t.jobID(), Depth: int32(t.depth), RangeLo: t.rng.X, RangeHi: t.rng.Y}, t.sdepth)
 		}
-		ent.push(t, true)
+		ent.push(g.parent.w.id, t, true)
 		g.parent.w.stats.migrations.Add(1)
 		if t.job != nil {
 			t.job.migrations.Add(1)
@@ -139,7 +139,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 	case sched.KindLocal:
 		t.ent = g.ent
 		t.inMigration = g.LocalInMigration
-		g.ent.push(t, t.inMigration)
+		g.ent.push(g.parent.w.id, t, t.inMigration)
 		g.pool.wakeFor(g.ent, t.job)
 	}
 }

@@ -133,11 +133,12 @@ func TestStolenLocalSubtreeStaysLocal(t *testing.T) {
 // TestLocalSpawnRatioSmoke is the CI gate on the headline number: with
 // ADWS_BENCH_SMOKE=1 (set by scripts/check.sh) it times one-worker spawn
 // trees under WS and ADWS in alternating rounds and fails if the median of
-// the per-round ADWS : WS ratios exceeds 1.15. Pairing adjacent rounds
+// the per-round ADWS : WS ratios exceeds 1.10. Pairing adjacent rounds
 // cancels the host's speed drift, and the median ignores the rounds a GC
 // cycle or a neighbour disturbed. Ten runs before the local path existed
-// read 1.12–1.23 (nine over the gate), twelve runs with it 1.00–1.09
-// (EXPERIMENTS.md).
+// read 1.12–1.23, twelve runs with it 1.00–1.09, and six with the owner's
+// primary pushes on lock-free rings 1.01–1.03 against 1.04–1.10 for its
+// parent, alternated (EXPERIMENTS.md).
 func TestLocalSpawnRatioSmoke(t *testing.T) {
 	if os.Getenv("ADWS_BENCH_SMOKE") != "1" {
 		t.Skip("set ADWS_BENCH_SMOKE=1 to run the ADWS : WS spawn-ratio gate")
@@ -162,7 +163,7 @@ func TestLocalSpawnRatioSmoke(t *testing.T) {
 	median := ratios[rounds/2]
 	t.Logf("spawn tree w1, %d paired rounds of %d trees: ADWS : WS median %.3f (min %.3f, max %.3f)",
 		rounds, trees, median, ratios[0], ratios[rounds-1])
-	if median > 1.15 {
-		t.Fatalf("ADWS : WS spawn ratio %.3f exceeds the 1.15 gate", median)
+	if median > 1.10 {
+		t.Fatalf("ADWS : WS spawn ratio %.3f exceeds the 1.10 gate", median)
 	}
 }

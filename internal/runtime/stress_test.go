@@ -151,10 +151,7 @@ func TestQueuesDrained(t *testing.T) {
 		p.Run(func(c *Ctx) { treeSum(c, 0, 50000, &sum, 16<<20) })
 		check := func(d *domain) {
 			for _, ent := range d.entities {
-				ent.mu.Lock()
-				n := ent.qs.Len()
-				ent.mu.Unlock()
-				if n != 0 {
+				if n := ent.queueLen(); n != 0 {
 					t.Errorf("%v: entity %d of domain %d has %d stranded tasks", pol, ent.idx, d.id, n)
 				}
 			}

@@ -56,6 +56,10 @@ type QueueSet[T any] struct {
 	migration []Deque[T]
 	nPrimary  int
 	nMig      int
+	// deepest bounds the non-empty primary queues from above: every primary
+	// queue at a greater depth is empty. PopLocalFrom starts there, not at
+	// the deepest depth the set ever held.
+	deepest int
 }
 
 func (q *QueueSet[T]) growTo(depth int) {
@@ -79,6 +83,9 @@ func (q *QueueSet[T]) PushPrimary(d int, v T) {
 	q.growTo(d)
 	q.primary[d].PushTop(v)
 	q.nPrimary++
+	if d > q.deepest {
+		q.deepest = d
+	}
 }
 
 // PushMigration records a task at depth d migrated here by another entity.
@@ -101,11 +108,12 @@ func (q *QueueSet[T]) PushMigration(d int, v T) {
 func (q *QueueSet[T]) PopLocalFrom(minDepth int) (T, bool) {
 	var zero T
 	if q.nPrimary > 0 {
-		for d := len(q.primary) - 1; d >= minDepth; d-- {
+		for d := q.deepest; d >= minDepth; d-- {
 			if v, ok := q.primary[d].PopTop(); ok {
 				q.nPrimary--
 				return v, true
 			}
+			q.deepest = d - 1
 		}
 	}
 	if q.nMig > 0 {
@@ -172,6 +180,7 @@ func (q *QueueSet[T]) StealPrimaryWhere(minDepth int, pred func(T) bool) (T, boo
 			if pred(items[i]) {
 				v := items[i]
 				copy(items[i:], items[i+1:])
+				items[len(items)-1] = zero
 				q.primary[d].items = items[:len(items)-1]
 				q.nPrimary--
 				return v, true

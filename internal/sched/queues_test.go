@@ -245,3 +245,60 @@ func TestQueueSetConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestQueueSetDeepestHint(t *testing.T) {
+	// The hint only bounds the non-empty primary queues from above: it
+	// follows pushes up, follows the owner's pops down past queues a thief
+	// emptied, and never hides a task.
+	var q QueueSet[string]
+	q.PushPrimary(0, "p0")
+	q.PushPrimary(20, "p20")
+	q.PushPrimary(7, "p7")
+	if v, _ := q.StealPrimary(20); v != "p20" {
+		t.Fatalf("StealPrimary(20) = %q, want p20", v)
+	}
+	if _, ok := q.PopLocalFrom(8); ok {
+		t.Error("PopLocalFrom(8) found a task above an empty depth 20")
+	}
+	if q.deepest != 7 {
+		t.Errorf("deepest = %d after a floored pop over empty depths 20..8, want 7", q.deepest)
+	}
+	q.PushPrimary(3, "p3")
+	for i, w := range []string{"p7", "p3", "p0"} {
+		if v, ok := q.PopLocal(); !ok || v != w {
+			t.Errorf("PopLocal #%d = %q,%v, want %q", i, v, ok, w)
+		}
+	}
+	if _, ok := q.PopLocal(); ok {
+		t.Error("PopLocal on empty set succeeded")
+	}
+	q.PushPrimary(2, "again")
+	if v, ok := q.PopLocal(); !ok || v != "again" {
+		t.Errorf("PopLocal after draining = %q,%v, want again", v, ok)
+	}
+}
+
+func TestStealPrimaryWhereClearsVacatedSlot(t *testing.T) {
+	// Removing from the middle shifts the tail down; the slot it vacates
+	// must not keep a pointer to the last task alive in the backing array.
+	var q QueueSet[*int]
+	vals := []*int{new(int), new(int), new(int)}
+	for i, v := range vals {
+		*v = i
+		q.PushPrimary(0, v)
+	}
+	got, ok := q.StealPrimaryWhere(0, func(v *int) bool { return *v == 1 })
+	if !ok || got != vals[1] {
+		t.Fatalf("StealPrimaryWhere = %v,%v, want the middle task", got, ok)
+	}
+	items := q.primary[0].items
+	if len(items) != 2 || items[0] != vals[0] || items[1] != vals[2] {
+		t.Fatalf("queue after removal = %v, want tasks 0 and 2", items)
+	}
+	if stale := items[:3][2]; stale != nil {
+		t.Errorf("vacated slot still holds task %d", *stale)
+	}
+	if q.PrimaryLen() != 2 {
+		t.Errorf("PrimaryLen = %d, want 2", q.PrimaryLen())
+	}
+}
