@@ -27,15 +27,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
-	"github.com/parlab/adws/internal/benchfmt"
 	"github.com/parlab/adws/internal/figures"
-	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/sim"
 	"github.com/parlab/adws/internal/topology"
 	"github.com/parlab/adws/internal/trace"
@@ -44,14 +41,14 @@ import (
 
 func main() {
 	var (
-		figure  = flag.String("figure", "all", "table1, 16, 17, 18, 19, 20, 21, auto, all, or run (one traced simulation)")
+		figure  = flag.String("figure", "all", "table1, 16, 17, 18, 19, 20, 21, auto, or all")
 		bench   = flag.String("bench", "", "comma-separated benchmark filter (rrm,quicksort,kdtree,dtree,matmul,heat2d,sph)")
 		machine = flag.String("machine", "oakbridge", "oakbridge, twolevel16, or threelevel64")
 		sizes   = flag.String("sizes", "", "comma-separated working-set factors of the aggregate shared capacity (default 0.125..16)")
 		reps    = flag.Int("reps", 2, "repetitions per point (last, warm one measured)")
 		seed    = flag.Uint64("seed", 0, "simulation seed (0 = default)")
 		csvDir  = flag.String("csv", "", "directory to also write CSV files into")
-		jsonOut = flag.String("json", "", "also write machine-readable JSON to this file (- for stdout)")
+		jsonOut = flag.String("json", "", "also write the figures as machine-readable JSON to this file (- for stdout)")
 
 		traceOut = flag.String("trace", "", "run one traced simulation and write Chrome trace-event JSON (open in Perfetto)")
 		traceSum = flag.Bool("tracesummary", false, "run one traced simulation and print derived trace metrics")
@@ -83,8 +80,11 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" || *traceSum || *figure == "run" {
-		runTraced(opts, *mode, *traceOut, *traceSum, *jsonOut)
+	if *traceOut != "" || *traceSum {
+		if *jsonOut != "" {
+			fatalf("-json writes figures; a traced run writes -trace and -tracesummary")
+		}
+		runTraced(opts, *mode, *traceOut, *traceSum)
 		return
 	}
 
@@ -146,121 +146,11 @@ func main() {
 	}
 }
 
-// jsonResult is the machine-readable form of one traced simulation:
-// timing, steal and locality counters, flat for jq-style consumption.
-// Existing fields are frozen (committed BENCH_*.json trajectory points
-// embed this object); additions bump benchfmt.SchemaVersion only when a
-// field changes meaning.
-type jsonResult struct {
-	SchemaVersion int     `json:"schema_version"`
-	Bench         string  `json:"bench"`
-	Mode          string  `json:"mode"`
-	Machine       string  `json:"machine,omitempty"`
-	Workers       int     `json:"workers"`
-	Seed          uint64  `json:"seed"`
-	Time          float64 `json:"time"`
-
-	BusyTime     float64 `json:"busy_time"`
-	IdleTime     float64 `json:"idle_time"`
-	OverheadTime float64 `json:"overhead_time"`
-
-	Tasks         int64 `json:"tasks"`
-	Steals        int64 `json:"steals"`
-	StealAttempts int64 `json:"steal_attempts"`
-	Migrations    int64 `json:"migrations"`
-	Ties          int64 `json:"ties"`
-	Flattens      int64 `json:"flattens"`
-
-	PrivateMisses  int64   `json:"private_misses"`
-	SharedMisses   int64   `json:"shared_misses"`
-	Accesses       int64   `json:"accesses"`
-	RemoteAccesses int64   `json:"remote_accesses"`
-	RemoteFraction float64 `json:"remote_fraction"`
-
-	DominantHitRate float64 `json:"dominant_hit_rate"`
-	DroppedEvents   int64   `json:"dropped_events"`
-
-	// TaskSpan summarizes the distribution of task execution spans
-	// (EvTaskBegin to EvTaskEnd), in virtual time units. StealDistance
-	// summarizes how far successful steals travelled, in logical entity
-	// slots — the paper's locality claim is about this distribution's
-	// tail, not its mean.
-	TaskSpan      benchfmt.Quantiles `json:"task_span"`
-	StealDistance benchfmt.Quantiles `json:"steal_distance"`
-}
-
-// taskSpanQuantiles pairs each worker's EvTaskBegin/EvTaskEnd events into
-// execution spans (a stack per worker — helping waits nest spans) and
-// summarizes them through the same log-linear histogram the real runtime
-// records latencies with. Timestamps are virtual time ×1000; quantiles
-// are reported in virtual units.
-func taskSpanQuantiles(tr *trace.Tracer) benchfmt.Quantiles {
-	h := metrics.NewStandaloneHistogram(1)
-	stacks := make(map[int32][]int64)
-	for _, ev := range tr.Events() {
-		switch ev.Type {
-		case trace.EvTaskBegin:
-			stacks[ev.Worker] = append(stacks[ev.Worker], ev.Time)
-		case trace.EvTaskEnd:
-			st := stacks[ev.Worker]
-			if len(st) == 0 {
-				continue // begin lost to ring wraparound
-			}
-			h.Record(0, ev.Time-st[len(st)-1])
-			stacks[ev.Worker] = st[:len(st)-1]
-		default:
-			// Only task begin/end pairs contribute to spans.
-		}
-	}
-	s := h.Snapshot()
-	return benchfmt.Quantiles{
-		Count: s.Count,
-		P50:   s.Quantile(0.50) / 1000,
-		P90:   s.Quantile(0.90) / 1000,
-		P99:   s.Quantile(0.99) / 1000,
-		Max:   float64(s.Max) / 1000,
-	}
-}
-
-// stealDistanceQuantiles summarizes the steal-distance histogram exactly
-// (distances are small integers; no bucketing needed).
-func stealDistanceQuantiles(dist []int64) benchfmt.Quantiles {
-	var q benchfmt.Quantiles
-	for _, n := range dist {
-		q.Count += n
-	}
-	if q.Count == 0 {
-		return q
-	}
-	at := func(p float64) float64 {
-		rank := int64(math.Ceil(p * float64(q.Count)))
-		if rank < 1 {
-			rank = 1
-		}
-		var cum int64
-		for d, n := range dist {
-			cum += n
-			if cum >= rank {
-				return float64(d)
-			}
-		}
-		return float64(len(dist) - 1)
-	}
-	q.P50, q.P90, q.P99 = at(0.50), at(0.90), at(0.99)
-	for d := len(dist) - 1; d >= 0; d-- {
-		if dist[d] > 0 {
-			q.Max = float64(d)
-			break
-		}
-	}
-	return q
-}
-
 // runTraced executes one simulation of the selected benchmark with the
 // scheduler event tracer attached, then writes the Chrome trace and/or
-// JSON result and/or prints the derived metrics next to the RunResult
-// line (text forms share the "steals=<successes>/<attempts>" notation).
-func runTraced(opts figures.Options, modeStr, out string, printSummary bool, jsonOut string) {
+// prints the derived metrics next to the RunResult line (both share the
+// "steals=<successes>/<attempts>" notation).
+func runTraced(opts figures.Options, modeStr, out string, printSummary bool) {
 	var m sim.Mode
 	switch modeStr {
 	case "sl-ws":
@@ -299,39 +189,6 @@ func runTraced(opts figures.Options, modeStr, out string, printSummary bool, jso
 
 	if printSummary {
 		fmt.Print(tr.Summarize().String())
-	}
-	if jsonOut != "" {
-		var remoteFrac float64
-		if res.Accesses > 0 {
-			remoteFrac = float64(res.RemoteAccesses) / float64(res.Accesses)
-		}
-		summary := tr.Summarize()
-		writeJSON(jsonOut, jsonResult{
-			SchemaVersion:   benchfmt.SchemaVersion,
-			Bench:           bench,
-			Mode:            modeStr,
-			Workers:         res.Workers,
-			Seed:            seed,
-			Time:            res.Time,
-			BusyTime:        res.BusyTime,
-			IdleTime:        res.IdleTime,
-			OverheadTime:    res.OverheadTime,
-			Tasks:           res.Tasks,
-			Steals:          res.Steals,
-			StealAttempts:   res.StealAttempts,
-			Migrations:      res.Migrations,
-			Ties:            res.Ties,
-			Flattens:        res.Flattens,
-			PrivateMisses:   res.PrivateMisses,
-			SharedMisses:    res.SharedMisses,
-			Accesses:        res.Accesses,
-			RemoteAccesses:  res.RemoteAccesses,
-			RemoteFraction:  remoteFrac,
-			DominantHitRate: summary.DominantGroupHitRate(),
-			DroppedEvents:   tr.Drops(),
-			TaskSpan:        taskSpanQuantiles(tr),
-			StealDistance:   stealDistanceQuantiles(summary.StealDistance),
-		})
 	}
 	if out != "" {
 		f, err := os.Create(out)

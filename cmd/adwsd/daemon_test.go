@@ -376,15 +376,19 @@ func TestDaemonMetricsScrapeUnderLoad(t *testing.T) {
 				for _, f := range fams {
 					byName[f.Name] = f
 				}
-				for _, want := range []string{
-					"adws_job_queue_wait_seconds", "adws_job_service_seconds",
-					"adws_job_e2e_seconds", "adws_park_seconds",
-					"adws_steal_attempt_seconds", "adws_wake_to_run_seconds",
+				for want, typ := range map[string]string{
+					"adws_job_queue_wait_seconds": "histogram",
+					"adws_job_service_seconds":    "histogram",
+					"adws_job_e2e_seconds":        "histogram",
+					"adws_park_seconds":           "histogram",
+					"adws_steal_attempt_seconds":  "histogram",
+					"adws_wake_to_run_seconds":    "histogram",
+					"adws_tasks_total":            "counter",
 				} {
 					if f, ok := byName[want]; !ok {
 						t.Errorf("scrape missing family %s", want)
-					} else if f.Type != "histogram" {
-						t.Errorf("family %s has type %s, want histogram", want, f.Type)
+					} else if f.Type != typ {
+						t.Errorf("family %s has type %s, want %s", want, f.Type, typ)
 					}
 				}
 			}
@@ -534,8 +538,19 @@ func TestDaemonMultiPoolRouting(t *testing.T) {
 		t.Errorf("cluster scrape is not valid exposition: %v", err)
 	}
 	body = getBody(t, ts.URL+"/metrics?pool=1")
-	if !strings.Contains(body, "adws_tasks_total") || !strings.Contains(body, "adws_workers 2") {
-		t.Errorf("/metrics?pool=1 missing pool families:\n%s", body)
+	poolFams, err := metrics.ParseText(body)
+	if err != nil {
+		t.Fatalf("/metrics?pool=1 is not valid exposition: %v", err)
+	}
+	poolFam := make(map[string]metrics.Family, len(poolFams))
+	for _, f := range poolFams {
+		poolFam[f.Name] = f
+	}
+	if f, ok := poolFam["adws_tasks_total"]; !ok || f.Type != "counter" {
+		t.Errorf("/metrics?pool=1: no adws_tasks_total counter family")
+	}
+	if v, ok := poolFam["adws_workers"].Sample(); !ok || v != 2 {
+		t.Errorf("/metrics?pool=1: adws_workers = %g (present %v), want 2", v, ok)
 	}
 	resp, err = http.Get(ts.URL + "/metrics?pool=7")
 	if err != nil {

@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/parlab/adws/internal/sim"
@@ -121,9 +122,19 @@ func TestFig17BreakdownSane(t *testing.T) {
 	}
 }
 
+// fig19Endpoints runs Fig. 19 on the first and last alpha of the paper's
+// sweep only. Every alpha builds its own instance and engines, so these
+// points are identical to the full sweep's (adwsbench -figure 19) at a
+// fraction of the cost; the assertions below need no other point.
+var fig19Endpoints = sync.OnceValue(func() []Figure {
+	full := Fig19Alphas
+	Fig19Alphas = []float64{full[0], full[len(full)-1]}
+	defer func() { Fig19Alphas = full }()
+	return Fig19(testOptions())
+})
+
 func TestFig19HintSensitivity(t *testing.T) {
-	o := testOptions()
-	figs := Fig19(o)
+	figs := fig19Endpoints()
 	if len(figs) != 2 {
 		t.Fatalf("got %d figures", len(figs))
 	}
@@ -138,31 +149,26 @@ func TestFig19HintSensitivity(t *testing.T) {
 	if d := hinted.Y[0] - noHint.Y[0]; d < -0.1 || d > 0.1 {
 		t.Errorf("alpha=1: hinted %.2f vs no-hint %.2f should coincide", hinted.Y[0], noHint.Y[0])
 	}
-	last := len(Fig19Alphas) - 1
+	alpha := hinted.X[1]
 	// At large alpha the hinted version must beat the no-hint version.
-	if hinted.Y[last] <= noHint.Y[last] {
-		t.Errorf("alpha=%g: hinted %.2f should beat no-hint %.2f",
-			Fig19Alphas[last], hinted.Y[last], noHint.Y[last])
+	if hinted.Y[1] <= noHint.Y[1] {
+		t.Errorf("alpha=%g: hinted %.2f should beat no-hint %.2f", alpha, hinted.Y[1], noHint.Y[1])
 	}
 	// ...and the no-hint version must not be far below SL-WS (improvement
 	// >= -0.15), the paper's tolerance claim.
-	if noHint.Y[last] < -0.15 {
-		t.Errorf("alpha=%g: no-hint improvement over SL-WS = %.2f, want >= -0.15",
-			Fig19Alphas[last], noHint.Y[last])
+	if noHint.Y[1] < -0.15 {
+		t.Errorf("alpha=%g: no-hint improvement over SL-WS = %.2f, want >= -0.15", alpha, noHint.Y[1])
 	}
 }
 
+// TestFig19AlphaSubset checks that a trimmed alpha sweep yields one point
+// per alpha in every series of both figures, at the alphas asked for.
 func TestFig19AlphaSubset(t *testing.T) {
-	// Keep the full-sweep test above structural; this runs a 2-alpha sweep
-	// to keep CI fast if the full one is trimmed later.
-	old := Fig19Alphas
-	Fig19Alphas = []float64{1, 8}
-	defer func() { Fig19Alphas = old }()
-	figs := Fig19(testOptions())
-	for _, f := range figs {
+	want := []float64{Fig19Alphas[0], Fig19Alphas[len(Fig19Alphas)-1]}
+	for _, f := range fig19Endpoints() {
 		for _, s := range f.Series {
-			if len(s.Y) != 2 {
-				t.Errorf("%s/%s: %d points, want 2", f.ID, s.Label, len(s.Y))
+			if len(s.X) != len(want) || s.X[0] != want[0] || s.X[1] != want[1] || len(s.Y) != len(want) {
+				t.Errorf("%s/%s: points at %v (%d values), want %v", f.ID, s.Label, s.X, len(s.Y), want)
 			}
 		}
 	}

@@ -105,7 +105,8 @@ type Histogram struct {
 
 // NewStandaloneHistogram returns an unregistered, unnamed histogram, for
 // tooling that wants the bucket layout and quantile machinery without a
-// registry (e.g. adwsbench summarizing simulated task spans).
+// registry (e.g. the bench harness timing Record itself, or tests handing
+// a pool its own latency histograms).
 func NewStandaloneHistogram(shards int) *Histogram {
 	if shards < 1 {
 		shards = 1

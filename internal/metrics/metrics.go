@@ -378,25 +378,3 @@ func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
-
-// Quantiles is a compact percentile summary of a histogram snapshot in
-// seconds, as embedded in BENCH_*.json trajectory points.
-type Quantiles struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// SummarizeSeconds extracts Count/p50/p90/p99/max from a snapshot,
-// converting recorded nanoseconds to seconds.
-func (s *Snapshot) SummarizeSeconds() Quantiles {
-	return Quantiles{
-		Count: s.Count,
-		P50:   s.Quantile(0.50) / 1e9,
-		P90:   s.Quantile(0.90) / 1e9,
-		P99:   s.Quantile(0.99) / 1e9,
-		Max:   float64(s.Max) / 1e9,
-	}
-}

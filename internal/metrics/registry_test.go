@@ -286,20 +286,3 @@ func TestParseTextAccepts(t *testing.T) {
 		t.Fatalf("help = %q", fams[0].Help)
 	}
 }
-
-func TestSummarizeSeconds(t *testing.T) {
-	h := &Histogram{name: "x", shards: make([]histShard, 1)}
-	for i := 0; i < 100; i++ {
-		h.Record(0, 1_000_000) // 1ms
-	}
-	q := func() Quantiles { s := h.Snapshot(); return s.SummarizeSeconds() }()
-	if q.Count != 100 {
-		t.Fatalf("count %d", q.Count)
-	}
-	if q.P50 < 0.001 || q.P50 > 0.001*1.2 {
-		t.Fatalf("p50 %g out of bounds", q.P50)
-	}
-	if q.Max != 0.001 {
-		t.Fatalf("max %g, want exactly 0.001", q.Max)
-	}
-}

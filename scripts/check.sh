@@ -45,12 +45,7 @@
 #      kernels/adws_ws_ratio of the benchmark, which depth-floored helping
 #      waits brought from 1.5 on these two kernels to about 1.1
 #      (EXPERIMENTS.md, "The idle worker").
-#   8. scripts/bench.sh -smoke                       trajectory smoke
-#      Schema-checks every committed BENCH_*.json perf-trajectory point
-#      and does one tiny adwsload run whose /metrics exposition is
-#      re-parsed with the strict internal parser, so a registry change
-#      that breaks scrapes or the committed trajectory fails here.
-#   9. go run ./bench -workload all -smoke           benchmark harness smoke
+#   8. go run ./bench -workload all -smoke           benchmark harness smoke
 #      Every path of the harness that judges PRs (BENCHMARK.json), at tiny
 #      sizes (~5 s); it measures nothing, but a change that breaks what
 #      bench/ calls or one of its correctness gates fails here.
@@ -93,8 +88,6 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate + ADWS : WS spawn-ratio gate + kernel balance gate"
 ADWS_BENCH_SMOKE=1 go test ./internal/runtime/ -run 'TestFlightOverheadSmoke|TestLocalSpawnRatioSmoke' -count=1
 ADWS_BENCH_SMOKE=1 go test ./internal/kernels/ -run 'TestKernelBalanceSmoke' -count=1
-
-scripts/bench.sh -smoke
 
 echo "==> go run ./bench -workload all -smoke   (benchmark harness smoke)"
 go run ./bench -workload all -smoke
