@@ -4,71 +4,28 @@
 //
 // Usage:
 //
-//	adwsvet [-list] [-only name[,name]] [-format text|json|sarif]
-//	        [-baseline file] [-writebaseline file] [packages ...]
+//	adwsvet [packages ...]
 //
-// With no packages it analyzes ./..., mirroring go vet. The default text
-// format prints one diagnostic per line as file:line:col: [analyzer]
-// message; -format json emits a machine-readable array and -format sarif
-// a SARIF 2.1.0 log for CI upload (both with module-relative paths).
-//
-// A -baseline file (written with -writebaseline) grandfathers existing
-// findings: baselined diagnostics are still printed in text mode as
-// "baselined" but do not affect the exit status, and are dropped from
-// json/sarif output entirely. The exit status is 1 when any
-// non-baselined diagnostics were found. See docs/LINT.md for the
-// analyzer catalogue, the //adws: directive grammar, and the baseline
-// workflow.
+// With no packages it analyzes ./..., mirroring go vet. It prints one
+// diagnostic per line as file:line:col: [analyzer] message. The exit
+// status is 0 when the packages are clean, 1 when any diagnostic was
+// found, and 2 when the packages cannot be loaded. See docs/LINT.md for
+// the analyzers and the //adws: directive grammar.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/parlab/adws/internal/lint"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := flag.String("baseline", "", "baseline file: suppress the findings recorded in it")
-	writeBaseline := flag.String("writebaseline", "", "write current findings to this baseline file and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: adwsvet [-list] [-only name[,name]] [-format text|json|sarif] [-baseline file] [-writebaseline file] [packages ...]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "usage: adwsvet [packages ...]\n")
 	}
 	flag.Parse()
-
-	all := lint.Analyzers()
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "adwsvet: unknown format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
-	}
-	analyzers := all
-	if *only != "" {
-		byName := make(map[string]*lint.Analyzer, len(all))
-		for _, a := range all {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "adwsvet: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
 
 	loader, err := lint.NewModuleLoader("")
 	if err != nil {
@@ -80,60 +37,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adwsvet: %v\n", err)
 		os.Exit(2)
 	}
-	diags := u.Run(analyzers)
-	baseDir := loader.ModuleDir()
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adwsvet: %v\n", err)
-			os.Exit(2)
-		}
-		werr := lint.NewBaseline(diags, baseDir).Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "adwsvet: writing baseline: %v\n", werr)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "adwsvet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
+	diags := u.Run(nil)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-
-	fresh := diags
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adwsvet: %v\n", err)
-			os.Exit(2)
-		}
-		fresh = b.Filter(diags, baseDir)
-		baselined = len(diags) - len(fresh)
-	}
-
-	switch *format {
-	case "json":
-		if err := lint.WriteJSON(os.Stdout, fresh, baseDir); err != nil {
-			fmt.Fprintf(os.Stderr, "adwsvet: %v\n", err)
-			os.Exit(2)
-		}
-	case "sarif":
-		if err := lint.WriteSARIF(os.Stdout, fresh, baseDir); err != nil {
-			fmt.Fprintf(os.Stderr, "adwsvet: %v\n", err)
-			os.Exit(2)
-		}
-	default:
-		for _, d := range fresh {
-			fmt.Println(d)
-		}
-		if baselined > 0 {
-			fmt.Fprintf(os.Stderr, "adwsvet: %d baselined finding(s) suppressed\n", baselined)
-		}
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "adwsvet: %d violation(s)\n", len(fresh))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "adwsvet: %d violation(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

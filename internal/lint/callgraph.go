@@ -9,8 +9,8 @@ import (
 )
 
 // The transitive analyzers (hotpath, hotalloc) share one call-graph
-// walker: starting from every function carrying a root directive
-// (//adws:hotpath), they inspect the function body and every module-local
+// walker: starting from every function annotated //adws:hotpath, they
+// inspect the function body and every module-local
 // function it can statically reach, attributing violations found in
 // callees back to the annotated root through a call chain.
 //
@@ -91,16 +91,16 @@ func (w *bodyWalker) check(fn *types.Func) []violation {
 }
 
 // runTransitive drives a bodyWalker from every target function annotated
-// //adws:<rootDirective> and renders its violations as diagnostics for
-// the named analyzer, deduplicating sites reachable from several roots.
-func runTransitive(u *Universe, analyzer, rootDirective string, w *bodyWalker) []Diagnostic {
+// //adws:hotpath and renders its violations as diagnostics for the named
+// analyzer, deduplicating sites reachable from several roots.
+func runTransitive(u *Universe, analyzer string, w *bodyWalker) []Diagnostic {
 	reported := make(map[token.Pos]bool)
 	var diags []Diagnostic
 	for _, p := range u.Targets {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasDirective(rootDirective, fd.Doc) {
+				if !ok || !hasDirective("hotpath", fd.Doc) {
 					continue
 				}
 				fn, ok := p.Info.Defs[fd.Name].(*types.Func)

@@ -16,7 +16,6 @@ import (
 // silently miscounting.
 var evexhaustiveAnalyzer = &Analyzer{
 	Name: "evexhaustive",
-	Doc:  "switches over trace.EventType must cover every Ev* constant or have a default",
 	Run:  runEvexhaustive,
 }
 

@@ -36,7 +36,6 @@ import (
 // allocations (docs/LINT.md).
 var hotallocAnalyzer = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "//adws:hotpath functions must not heap-allocate (new/make, literals, closures, escaping append, interface boxing)",
 	Run:  runHotalloc,
 }
 
@@ -76,7 +75,7 @@ func runHotalloc(u *Universe) []Diagnostic {
 		}
 		return nil, true
 	})
-	return runTransitive(u, "hotalloc", "hotpath", w)
+	return runTransitive(u, "hotalloc", w)
 }
 
 // checkHotallocAssign flags appends whose result is stored into a

@@ -22,7 +22,6 @@ import (
 // followed; only statically resolved calls to module functions are.
 var hotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "//adws:hotpath functions must stay lock-, channel-, fmt-, sleep- and defer-free",
 	Run:  runHotpath,
 }
 
@@ -61,7 +60,7 @@ func runHotpath(u *Universe) []Diagnostic {
 		}
 		return nil, true
 	})
-	return runTransitive(u, "hotpath", "hotpath", w)
+	return runTransitive(u, "hotpath", w)
 }
 
 // checkHotpathCall classifies one call site against the banned stdlib

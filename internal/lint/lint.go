@@ -4,37 +4,30 @@
 // go.mod stays dependency-free; package discovery is driven by
 // `go list -json` (see load.go).
 //
-// Seven analyzers ship today, each enforcing one invariant that previously
-// lived in review-only convention (see docs/LINT.md for the full policy):
+// Five analyzers ship, each enforcing an invariant that neither the
+// compiler, go vet, the tests nor the race detector catches (docs/LINT.md
+// has the policy and the mutation audit behind that claim):
 //
 //   - hotpath: functions annotated //adws:hotpath must not, transitively
 //     within the module, lock a sync.Mutex, perform channel operations
 //     (except lines annotated //adws:allow — the one-slot wake-channel
 //     pattern), call time.Sleep or anything in fmt, or defer.
-//   - atomicpad: fields of type paddedWord or annotated //adws:padded must
-//     sit at a 64-byte-aligned offset with at least 64 bytes to the next
-//     non-padding field; 64-bit operands of sync/atomic calls must be
-//     8-byte aligned under 32-bit layout rules.
-//   - evexhaustive: every switch over trace.EventType must handle all Ev*
-//     constants or carry an explicit default clause.
-//   - lockedby: fields annotated //adws:locked(mu) may only be accessed in
-//     functions that lock mu or are annotated //adws:requires(mu).
-//   - atomiconly: a variable accessed through sync/atomic anywhere in the
-//     module, or a value of an atomic-containing type, must never be read
-//     or written plainly outside its constructor (//adws:plainread is the
-//     documented escape hatch).
-//   - lockorder: the program-wide mutex acquisition graph — built from
-//     Lock/Unlock call sites plus //adws:requires facts — must follow the
-//     ranks declared by //adws:lockrank(n) and contain no cycles.
 //   - hotalloc: //adws:hotpath functions must not, transitively, heap-
 //     allocate: new/make, composite literals, closures, escaping appends
 //     and interface boxing are flagged.
+//   - lockorder: the program-wide mutex acquisition graph — built from
+//     Lock/Unlock call sites plus //adws:requires facts — must follow the
+//     ranks declared by //adws:lockrank(n) and contain no cycles.
+//   - lockedby: fields annotated //adws:locked(mu) may only be accessed in
+//     functions that lock mu or are annotated //adws:requires(mu).
+//   - evexhaustive: every switch over trace.EventType must handle all Ev*
+//     constants or carry an explicit default clause.
 //
 // Directive grammar: a directive is a //-comment whose text (after "//",
 // no space) starts with "adws:", attached to the declaration it governs
-// (function doc, field doc or trailing comment, type doc) — or, for the
-// line-scoped directives //adws:allow and //adws:plainread, placed on the
-// offending line or the line directly above.
+// (function doc, field doc or trailing comment) — or, for the one
+// line-scoped directive //adws:allow, placed on the offending line or the
+// line directly above.
 package lint
 
 import (
@@ -60,7 +53,6 @@ func (d Diagnostic) String() string {
 // Analyzer is one invariant checker run over a Universe.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(u *Universe) []Diagnostic
 }
 
@@ -68,10 +60,8 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		hotpathAnalyzer,
-		atomicpadAnalyzer,
 		evexhaustiveAnalyzer,
 		lockedbyAnalyzer,
-		atomiconlyAnalyzer,
 		lockorderAnalyzer,
 		hotallocAnalyzer,
 	}
@@ -98,9 +88,9 @@ type Universe struct {
 	Module map[string]*Package
 
 	funcDecls map[*types.Func]*funcDecl
-	// lineDirs indexes line-scoped directives (allow, plainread):
-	// directive name -> filename -> line carrying it.
-	lineDirs map[string]map[string]map[int]bool
+	// allowLines indexes the //adws:allow comments: filename -> line
+	// carrying one.
+	allowLines map[string]map[int]bool
 }
 
 // funcDecl pairs a function declaration with the package it lives in.
@@ -134,7 +124,7 @@ func (u *Universe) Run(analyzers []*Analyzer) []Diagnostic {
 
 // directive is one parsed //adws:name(args) comment.
 type directive struct {
-	name string // e.g. "hotpath", "padded", "locked", "requires", "allow"
+	name string // e.g. "hotpath", "locked", "requires", "allow"
 	args string // inside the parentheses, "" if none
 	pos  token.Pos
 }
@@ -195,49 +185,31 @@ func (u *Universe) position(pos token.Pos) token.Position {
 	return u.Fset.Position(pos)
 }
 
-// buildLineIndex records, per directive name and file, the lines carrying
-// a line-scoped //adws:<name> comment. A node is governed by such a
-// directive when its line or the line directly above carries it.
-func (u *Universe) buildLineIndex() {
-	if u.lineDirs != nil {
-		return
-	}
-	u.lineDirs = make(map[string]map[string]map[int]bool)
-	for _, p := range u.Module {
-		for _, f := range p.Files {
-			for _, g := range f.Comments {
-				for _, d := range parseDirectives(g) {
-					pos := u.position(d.pos)
-					files := u.lineDirs[d.name]
-					if files == nil {
-						files = make(map[string]map[int]bool)
-						u.lineDirs[d.name] = files
+// allowed reports whether pos sits on (or directly under) a line carrying
+// //adws:allow. The index of those lines is built on first use.
+func (u *Universe) allowed(pos token.Pos) bool {
+	if u.allowLines == nil {
+		u.allowLines = make(map[string]map[int]bool)
+		for _, p := range u.Module {
+			for _, f := range p.Files {
+				for _, g := range f.Comments {
+					for _, d := range parseDirectives(g) {
+						if d.name != "allow" {
+							continue
+						}
+						at := u.position(d.pos)
+						if u.allowLines[at.Filename] == nil {
+							u.allowLines[at.Filename] = make(map[int]bool)
+						}
+						u.allowLines[at.Filename][at.Line] = true
 					}
-					m := files[pos.Filename]
-					if m == nil {
-						m = make(map[int]bool)
-						files[pos.Filename] = m
-					}
-					m[pos.Line] = true
 				}
 			}
 		}
 	}
-}
-
-// lineDirective reports whether pos sits on (or directly under) a line
-// carrying //adws:<name>.
-func (u *Universe) lineDirective(name string, pos token.Pos) bool {
-	u.buildLineIndex()
 	p := u.position(pos)
-	m := u.lineDirs[name][p.Filename]
-	return m != nil && (m[p.Line] || m[p.Line-1])
-}
-
-// allowed reports whether pos sits on (or directly under) an //adws:allow
-// line.
-func (u *Universe) allowed(pos token.Pos) bool {
-	return u.lineDirective("allow", pos)
+	m := u.allowLines[p.Filename]
+	return m[p.Line] || m[p.Line-1]
 }
 
 // buildFuncIndex maps every module function object to its declaration so

@@ -27,10 +27,8 @@ func TestAnalyzersGolden(t *testing.T) {
 		dirs      []string
 	}{
 		{"hotpath", []string{"hotpath", "hotalloc"}, []string{"hotpath/bad", "hotpath/good"}},
-		{"atomicpad", []string{"atomicpad"}, []string{"atomicpad/bad", "atomicpad/good"}},
 		{"evexhaustive", []string{"evexhaustive"}, []string{"evexhaustive/bad", "evexhaustive/good"}},
 		{"lockedby", []string{"lockedby"}, []string{"lockedby/bad", "lockedby/good"}},
-		{"atomiconly", []string{"atomiconly"}, []string{"atomiconly/bad", "atomiconly/good"}},
 		{"lockorder", []string{"lockorder"}, []string{"lockorder/bad", "lockorder/good"}},
 		{"hotalloc", []string{"hotalloc", "hotpath"}, []string{"hotalloc/bad", "hotalloc/good"}},
 	}
@@ -147,10 +145,8 @@ func TestAllAnalyzersAcrossTestdata(t *testing.T) {
 	var dirs []string
 	for _, d := range []string{
 		"hotpath/bad", "hotpath/good",
-		"atomicpad/bad", "atomicpad/good",
 		"evexhaustive/bad", "evexhaustive/good",
 		"lockedby/bad", "lockedby/good",
-		"atomiconly/bad", "atomiconly/good",
 		"lockorder/bad", "lockorder/good",
 		"hotalloc/bad", "hotalloc/good",
 		"generics",
@@ -202,7 +198,7 @@ func hot() {}
 
 type s struct {
 	a int //adws:locked(mu) guards a
-	b int //adws:padded
+	b int //adws:lockrank(3)
 	c int // adws:ignored-with-space is not a directive
 }
 `
@@ -222,7 +218,7 @@ type s struct {
 			}
 		}
 	}
-	want := []string{"hotpath()", "locked(mu)", "padded()"}
+	want := []string{"hotpath()", "locked(mu)", "lockrank(3)"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("directives = %v, want %v", got, want)
 	}

@@ -40,10 +40,6 @@ type Loader struct {
 	loading  map[string]bool           // import-cycle guard
 }
 
-// ModuleDir returns the module root directory ("" for test loaders); the
-// reporters anchor relative paths and the SARIF SRCROOT base to it.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
 // newLoader builds the shared loader state. Cgo is disabled so the
 // standard library resolves to its pure-Go fallbacks, which are what
 // source-based type checking can process.

@@ -21,7 +21,6 @@ import (
 // down, not that the right instance is locked.
 var lockedbyAnalyzer = &Analyzer{
 	Name: "lockedby",
-	Doc:  "//adws:locked(mu) fields are only accessed under mu or in //adws:requires(mu) functions",
 	Run:  runLockedby,
 }
 

@@ -33,7 +33,6 @@ import (
 // //adws:allow can waive where instances are provably ordered.
 var lockorderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "mutex acquisition must follow //adws:lockrank order program-wide; nesting edges need ranks; no cycles",
 	Run:  runLockorder,
 }
 

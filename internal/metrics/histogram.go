@@ -69,8 +69,6 @@ func BucketUpper(i int) float64 {
 // cache lines (layout pinned by pad_test.go) so concurrent recorders on
 // different shards never false-share; within a shard only atomic adds and
 // a CAS max race, which is safe from any number of goroutines.
-//
-//adws:padded
 type histShard struct {
 	counts [NumBuckets]atomic.Int64
 	sum    atomic.Int64

@@ -21,10 +21,7 @@ import (
 )
 
 // padded is an atomic counter cell owning a whole cache line, so adjacent
-// registered counters never false-share (layout enforced by adwsvet's
-// atomicpad analyzer and pinned by pad_test.go).
-//
-//adws:padded
+// registered counters never false-share (layout pinned by pad_test.go).
 type padded struct {
 	v atomic.Int64
 	_ [56]byte
@@ -32,7 +29,7 @@ type padded struct {
 
 // Counter is a monotonically increasing padded atomic counter.
 type Counter struct {
-	cell       padded //adws:padded
+	cell       padded
 	name, help string
 }
 
@@ -51,7 +48,7 @@ func (c *Counter) Value() int64 { return c.cell.v.Load() }
 
 // Gauge is a settable padded atomic gauge holding a float64.
 type Gauge struct {
-	cell       padded //adws:padded
+	cell       padded
 	name, help string
 }
 

@@ -7,9 +7,9 @@ import (
 
 // The padded cell and histogram shard must each span a whole number of
 // cache lines so adjacent counters and adjacent per-worker shards never
-// false-share. adwsvet's atomicpad analyzer enforces the //adws:padded
-// annotations; these assertions pin the concrete layout so a field
-// reorder that changes the sizes fails loudly.
+// false-share. These assertions are the only check of that layout: they
+// pin the concrete sizes and offsets, so a deleted pad or a field reorder
+// fails loudly.
 
 func TestPaddedCellLayout(t *testing.T) {
 	if s := unsafe.Sizeof(padded{}); s != 64 {

@@ -7,10 +7,9 @@ import (
 
 // The false-sharing guarantees the scheduler relies on are structural: the
 // idle-mask words and the per-worker counter block must each own whole
-// cache lines. adwsvet's atomicpad analyzer enforces the annotations
-// statically; these tests pin the actual layout the compiler produced, so
-// a field reorder that silently changes offsets fails here even if the
-// directives were edited too.
+// cache lines. These tests are the only check of that layout: they pin
+// the offsets and sizes the compiler produced, so a deleted pad or a
+// field reorder that silently changes them fails here.
 
 const cacheLine = 64
 

@@ -544,8 +544,8 @@ func (p *Pool) Stats() Stats {
 // workerStats is a worker's hot counter block, padded to whole cache
 // lines: the counters are bumped by the owning worker on every task,
 // steal probe, and park cycle, and must not share a line with the fields
-// producers read on the wakeup fast path (parkCh, id). Padding is
-// enforced by adwsvet's atomicpad analyzer and runtime/pad_test.go.
+// producers read on the wakeup fast path (parkCh, id). The layout is
+// pinned by TestWorkerStatsLayout.
 type workerStats struct {
 	tasks, steals, stealAttempts, migrations atomic.Int64
 	// parks counts blocking park cycles; wakes counts wake tokens
@@ -564,7 +564,7 @@ type workerStats struct {
 type worker struct {
 	// stats leads the struct so the owner-written counters start at
 	// offset 0 on their own cache lines.
-	stats workerStats //adws:padded
+	stats workerStats
 
 	id   int
 	pool *Pool

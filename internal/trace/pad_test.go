@@ -7,9 +7,8 @@ import (
 
 // The tracer keeps one ring per worker in a single slice, so the layout —
 // not a sync primitive — is what stops worker i's cursor stores from
-// invalidating worker i+1's cursor or buffer header. adwsvet's atomicpad
-// analyzer enforces the //adws:padded annotations; this test pins the
-// compiled layout.
+// invalidating worker i+1's cursor or buffer header. This test is the
+// only check of that layout: it pins what the compiler produced.
 func TestRingLayout(t *testing.T) {
 	const cacheLine = 64
 	var r ring

@@ -171,11 +171,9 @@ type frame struct {
 // recording. The cursor owns a full cache line and the struct is padded
 // to a whole number of lines, so in the tracer's rings slice no worker's
 // cursor store can invalidate a neighbour's cursor or frame pointer
-// (layout enforced by adwsvet's atomicpad analyzer).
-//
-//adws:padded
+// (layout pinned by TestRingLayout).
 type ring struct {
-	cursor atomic.Int64 //adws:padded
+	cursor atomic.Int64
 	_      [56]byte
 	buf    atomic.Pointer[frame]
 	_      [56]byte

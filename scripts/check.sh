@@ -6,12 +6,13 @@
 #      (internal/lint/testdata is excluded: fixtures pin exact line/column
 #      positions and deliberately odd layouts)
 #   2. scripts/lint.sh                               go vet + adwsvet
-#      adwsvet (cmd/adwsvet, docs/LINT.md) enforces the scheduler's
-#      concurrency invariants: hot-path purity and allocation-freedom,
-#      cache-line padding, trace-event switch exhaustiveness, lock
-#      annotations, atomic-access discipline, and the global lock-rank
-#      order. Any finding fails the gate: the tree is clean and no baseline
-#      file is committed (docs/LINT.md, "Baseline workflow").
+#      adwsvet (cmd/adwsvet, docs/LINT.md) enforces the invariants no
+#      other gate here sees: hot paths free of locks, channel operations,
+#      defer and heap allocation (hotpath, hotalloc), the global lock-rank
+#      order (lockorder), lock annotations on guarded fields (lockedby),
+#      and trace-event switch exhaustiveness (evexhaustive). Any finding
+#      fails the gate. Cache-line padding is pinned by the pad_test.go
+#      layout tests of step 4 instead.
 #   3. go build ./...                                everything compiles
 #   4. go test ./...                                 full test suite
 #   5. go test -race the root package + internal/sched + internal/runtime
