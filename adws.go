@@ -384,7 +384,7 @@ func NewPool(opts ...Option) (*Pool, error) {
 		Flight:     fr,
 		Metrics:    rtm,
 	})
-	sm := server.NewMetrics(reg, nil)
+	sm := server.NewMetrics(reg)
 	srv := server.New(p, server.Config{
 		MaxInFlight:     cfg.maxInFlight,
 		MaxQueue:        cfg.maxQueue,

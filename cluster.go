@@ -6,6 +6,7 @@ import (
 
 	"github.com/parlab/adws/internal/cluster"
 	"github.com/parlab/adws/internal/metrics"
+	"github.com/parlab/adws/internal/server"
 )
 
 // Routing policy names accepted by NewCluster (see docs/CLUSTER.md).
@@ -53,13 +54,6 @@ type Cluster struct {
 // applied to every pool; a WithWorkers among them is overridden by the
 // per-pool count. On error, no pools are left running.
 func NewCluster(workers []int, policy string, opts ...Option) (*Cluster, error) {
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("adws: cluster needs at least one pool")
-	}
-	router, err := cluster.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
 	pools := make([]*Pool, 0, len(workers))
 	fail := func(err error) (*Cluster, error) {
 		for _, p := range pools {
@@ -81,17 +75,11 @@ func NewCluster(workers []int, policy string, opts ...Option) (*Cluster, error) 
 		}
 		pools = append(pools, p)
 	}
-	members := make([]cluster.Pool, len(pools))
-	for i, p := range pools {
-		members[i] = p.srv
-	}
-	cl, err := cluster.New(members, cluster.Config{Router: router})
+	c, err := ClusterOf(policy, pools...)
 	if err != nil {
 		return fail(err)
 	}
-	reg := metrics.NewRegistry()
-	cl.RegisterMetrics(reg)
-	return &Cluster{cl: cl, pools: pools, reg: reg}, nil
+	return c, nil
 }
 
 // ClusterOf builds a cluster over pools the caller already configured —
@@ -99,18 +87,15 @@ func NewCluster(workers []int, policy string, opts ...Option) (*Cluster, error) 
 // count, scheduler, tracer, and admission window it was created with.
 // The cluster takes ownership: Close closes every member pool.
 func ClusterOf(policy string, pools ...*Pool) (*Cluster, error) {
-	if len(pools) == 0 {
-		return nil, fmt.Errorf("adws: cluster needs at least one pool")
-	}
 	router, err := cluster.ParsePolicy(policy)
 	if err != nil {
 		return nil, err
 	}
-	members := make([]cluster.Pool, len(pools))
+	members := make([]*server.Server, len(pools))
 	for i, p := range pools {
 		members[i] = p.srv
 	}
-	cl, err := cluster.New(members, cluster.Config{Router: router})
+	cl, err := cluster.New(members, router)
 	if err != nil {
 		return nil, err
 	}

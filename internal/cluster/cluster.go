@@ -9,16 +9,15 @@
 // loaded pool only when the warm pool falls behind (cf. "On the
 // Efficiency of Localized Work Stealing", PAPERS.md).
 //
-// The cluster composes the server's interfaces (server.Runtime,
-// server.Admitter, server.Placer) rather than reimplementing admission:
-// each member pool is a *server.Server with its own runtime pool,
-// admission window, and placement cursor. Routing, by contrast, is
-// cluster-level: every Submit takes one live load snapshot per pool,
-// asks the Router for a pool, classifies the decision against the
-// cluster's own key history (warm / cold / moved / spill), and submits
-// to the chosen member. Classification is policy-independent, so a
-// round-robin and an affinity cluster driven with the same stream are
-// directly comparable on warm-hit rate.
+// The cluster does not reimplement admission: each member pool is a
+// *server.Server with its own runtime pool, admission window, and
+// placement cursor. Routing, by contrast, is cluster-level: every Submit
+// takes one live load snapshot per pool, asks the Router for a pool,
+// classifies the decision against the cluster's own key history (warm /
+// cold / moved / spill), and submits to the chosen member.
+// Classification is policy-independent, so a round-robin and an affinity
+// cluster driven with the same stream are directly comparable on
+// warm-hit rate.
 package cluster
 
 import (
@@ -26,29 +25,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/parlab/adws/internal/runtime"
 	"github.com/parlab/adws/internal/server"
 )
 
-// Pool is the per-shard serving surface the cluster composes — the
-// admission, introspection, and lifecycle subset of *server.Server
-// (which implements it).
-type Pool interface {
-	Submit(ctx context.Context, fn func(*runtime.Ctx) error, h server.Hint) (*server.Job, error)
-	InFlight() (queued, running int)
-	OldestQueueAge() time.Duration
-	QueuedByClass() map[string]int
-	Workers() int
-	Config() server.Config
-	Counters() server.Counters
-	Job(id int64) (*server.Job, bool)
-	Drain(ctx context.Context) error
-	Close()
-}
-
-var _ Pool = (*server.Server)(nil)
+// retainJobs caps how many terminal jobs the cluster-wide id lookup
+// keeps, oldest evicted first. In-flight jobs are always retained.
+const retainJobs = 4096
 
 // Verdict classifies one routing decision against the cluster's key
 // history. The classification is made by the cluster, not the router,
@@ -104,16 +88,6 @@ func (c RouteCounts) WarmRate() float64 {
 	return float64(c.Warm) / float64(c.Jobs)
 }
 
-// Config parameterizes a Cluster.
-type Config struct {
-	// Router is the routing policy (nil: NewRoundRobin()).
-	Router Router
-	// RetainJobs caps how many terminal jobs the cluster-wide id lookup
-	// keeps, oldest evicted first (<= 0: 4096). In-flight jobs are
-	// always retained.
-	RetainJobs int
-}
-
 // Job is one routed job: the underlying server job plus its cluster-wide
 // id and the pool it landed on. The embedded *server.Job provides the
 // full lifecycle surface (Wait, Err, State, Stats, Cancel, TraceID).
@@ -136,9 +110,8 @@ func (j *Job) Verdict() Verdict { return j.verdict }
 
 // Cluster owns N pools and routes submitted jobs across them.
 type Cluster struct {
-	pools  []Pool
+	pools  []*server.Server
 	router Router
-	retain int
 
 	mu     sync.Mutex     //adws:lockrank(20) outermost of the submit path: nests over server.mu
 	last   map[string]int // key -> pool that last ran it (for Verdict)
@@ -148,24 +121,17 @@ type Cluster struct {
 	order  []int64 // cluster ids in submission order, bounded retention
 }
 
-// New creates a cluster over the given pools (at least one). The cluster
-// does not own the pools' runtimes: Close closes each Pool (stopping
-// admission) but closing the underlying runtime pools stays with the
-// caller that created them.
-func New(pools []Pool, cfg Config) (*Cluster, error) {
+// New creates a cluster over the given pools (at least one), routed by
+// router. The cluster does not own the pools' runtimes: Close closes each
+// server (stopping admission) but closing the underlying runtime pools
+// stays with the caller that created them.
+func New(pools []*server.Server, router Router) (*Cluster, error) {
 	if len(pools) == 0 {
 		return nil, errors.New("cluster: need at least one pool")
 	}
-	if cfg.Router == nil {
-		cfg.Router = NewRoundRobin()
-	}
-	if cfg.RetainJobs <= 0 {
-		cfg.RetainJobs = 4096
-	}
 	return &Cluster{
 		pools:  pools,
-		router: cfg.Router,
-		retain: cfg.RetainJobs,
+		router: router,
 		last:   make(map[string]int),
 		counts: make([]RouteCounts, len(pools)),
 		jobs:   make(map[int64]*Job),
@@ -176,7 +142,7 @@ func New(pools []Pool, cfg Config) (*Cluster, error) {
 func (c *Cluster) NumPools() int { return len(c.pools) }
 
 // PoolAt returns pool i.
-func (c *Cluster) PoolAt(i int) Pool { return c.pools[i] }
+func (c *Cluster) PoolAt(i int) *server.Server { return c.pools[i] }
 
 // Policy returns the routing policy name.
 func (c *Cluster) Policy() string { return c.router.Name() }
@@ -327,11 +293,11 @@ func (c *Cluster) Jobs() []*Job {
 func (c *Cluster) retainLocked(j *Job) {
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	if len(c.order) <= c.retain {
+	if len(c.order) <= retainJobs {
 		return
 	}
 	kept := c.order[:0]
-	excess := len(c.order) - c.retain
+	excess := len(c.order) - retainJobs
 	for _, id := range c.order {
 		if excess > 0 {
 			if old, ok := c.jobs[id]; ok && old.State().Terminal() {
@@ -370,7 +336,7 @@ func (c *Cluster) Drain(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for i, p := range c.pools {
 		wg.Add(1)
-		go func(i int, p Pool) {
+		go func(i int, p *server.Server) {
 			defer wg.Done()
 			errs[i] = p.Drain(ctx)
 		}(i, p)

@@ -23,7 +23,7 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, npools int, router Router) *testCluster {
 	t.Helper()
-	pools := make([]Pool, npools)
+	pools := make([]*server.Server, npools)
 	tracers := make([]*trace.Tracer, npools)
 	for i := range pools {
 		tr := trace.New(2, 1<<15)
@@ -39,7 +39,7 @@ func newTestCluster(t *testing.T, npools int, router Router) *testCluster {
 		pools[i] = s
 		tracers[i] = tr
 	}
-	c, err := New(pools, Config{Router: router})
+	c, err := New(pools, router)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,22 +171,19 @@ func leastLoaded(snaps []Snapshot, not int) int {
 // falls too far behind. Unseen and keyless requests fall back to
 // least-loaded placement.
 type Affinity struct {
-	// SpillOver is the per-worker pending-load excess over the cluster
-	// minimum beyond which a warm pool is abandoned (default 2 jobs per
-	// worker). A warm pool whose admission queue is full always spills.
-	SpillOver float64
-
 	last map[string]int // key -> pool that last ran it
 }
 
-// DefaultSpillOver is the Affinity.SpillOver default: a warm pool may
+// DefaultSpillOver is the per-worker pending-load excess over the
+// cluster minimum beyond which a warm pool is abandoned: a warm pool may
 // run this many more pending jobs per worker than the least-loaded pool
-// before repeats of its keys spill.
+// before repeats of its keys spill. A warm pool whose admission queue is
+// full always spills.
 const DefaultSpillOver = 2.0
 
-// NewAffinity returns an affinity router with the default spill-over.
+// NewAffinity returns an affinity router.
 func NewAffinity() *Affinity {
-	return &Affinity{SpillOver: DefaultSpillOver, last: make(map[string]int)}
+	return &Affinity{last: make(map[string]int)}
 }
 
 // Name implements Router.
@@ -210,7 +207,7 @@ func (r *Affinity) Route(req Request, snaps []Snapshot) Decision {
 		return Decision{Pool: p}
 	}
 	min := snaps[leastLoaded(snaps, -1)].load()
-	if snaps[warm].full() || snaps[warm].load()-min > r.SpillOver {
+	if snaps[warm].full() || snaps[warm].load()-min > DefaultSpillOver {
 		p := leastLoaded(snaps, warm)
 		r.last[req.Key] = p
 		return Decision{Pool: p, Spill: true}

@@ -85,7 +85,7 @@ func TestAffinityWarmAndSpill(t *testing.T) {
 		t.Fatalf("keyless route = %+v, want pool 2", d)
 	}
 
-	// Load the warm pool past SpillOver (2 jobs/worker over the min):
+	// Load the warm pool past DefaultSpillOver (2 jobs/worker over the min):
 	// 4 workers, 9 running jobs is 2.25/worker above the idle pools.
 	d = r.Route(Request{Key: "a"}, snaps3(0, 9, 0))
 	if !d.Spill || d.Pool == 1 {

@@ -25,7 +25,12 @@ import (
 // black box holding the recent past, not a full-run trace.
 const DefaultCapacity = 4096
 
-// DefaultDepthLimit is the default task-span depth cutoff (see Config).
+// DefaultDepthLimit bounds task-span recording: task begin/end and wait
+// enter/exit events are kept only when their spawn depth (root task = 0,
+// each Spawn adds one) is at most this. Steals, migrations, parks, wakes,
+// and boundary crossings are always kept. The filter keys on spawn depth
+// rather than the scheduler's group depth because the latter saturates
+// for worker-local work and would let every microtask through.
 const DefaultDepthLimit = 1
 
 // alwaysMask selects the event types the recorder keeps at any depth:
@@ -36,7 +41,7 @@ const alwaysMask = 1<<trace.EvStealAttempt | 1<<trace.EvStealSuccess |
 	1<<trace.EvWake | 1<<trace.EvBoundary
 
 // shallowMask selects the event types recorded only at shallow spawn
-// depth: per-task spans and waits, which at depth ≤ DepthLimit mark
+// depth: per-task spans and waits, which at depth ≤ DefaultDepthLimit mark
 // root/job-level progress but deeper down would cost a timestamp per
 // microtask and blow the recorder's near-nil overhead budget.
 const shallowMask = 1<<trace.EvTaskBegin | 1<<trace.EvTaskEnd |
@@ -56,14 +61,6 @@ type Config struct {
 	// Capacity is the per-worker ring capacity in events
 	// (<= 0: DefaultCapacity).
 	Capacity int
-	// DepthLimit bounds task-span recording: task begin/end and wait
-	// enter/exit events are kept only when their spawn depth (root task
-	// = 0, each Spawn adds one) is at most this (<= 0:
-	// DefaultDepthLimit). Steals, migrations, parks, wakes, and boundary
-	// crossings are always kept. The filter keys on spawn depth rather
-	// than the scheduler's group depth because the latter saturates for
-	// worker-local work and would let every microtask through.
-	DepthLimit int
 }
 
 // Recorder is the flight recorder: per-worker bounded rings over the
@@ -74,8 +71,7 @@ type Config struct {
 // part). Dump cuts all rings into a consistent cross-worker snapshot
 // without stopping the pool.
 type Recorder struct {
-	t          *trace.Tracer
-	depthLimit int32
+	t *trace.Tracer
 	// last[w] is the Event.Time of worker w's most recently recorded
 	// event, 0 before the first (the /debug/sched last-event age).
 	last []paddedNS
@@ -94,13 +90,9 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	if cfg.DepthLimit <= 0 {
-		cfg.DepthLimit = DefaultDepthLimit
-	}
 	return &Recorder{
-		t:          trace.New(cfg.Workers, cfg.Capacity),
-		depthLimit: int32(cfg.DepthLimit),
-		last:       make([]paddedNS, cfg.Workers),
+		t:    trace.New(cfg.Workers, cfg.Capacity),
+		last: make([]paddedNS, cfg.Workers),
 	}
 }
 
@@ -115,7 +107,7 @@ func (r *Recorder) Wants(t trace.EventType, depth int32) bool {
 		return false
 	}
 	b := uint32(1) << t
-	return b&alwaysMask != 0 || (b&shallowMask != 0 && depth <= r.depthLimit)
+	return b&alwaysMask != 0 || (b&shallowMask != 0 && depth <= DefaultDepthLimit)
 }
 
 // Record appends ev to worker w's ring, overwriting the oldest event
@@ -134,9 +126,6 @@ func (r *Recorder) NumWorkers() int { return r.t.NumWorkers() }
 
 // Capacity returns the per-worker ring capacity in events.
 func (r *Recorder) Capacity() int { return r.t.Capacity() }
-
-// DepthLimit returns the task-span depth cutoff.
-func (r *Recorder) DepthLimit() int { return int(r.depthLimit) }
 
 // LastNS returns worker w's most recent recorded-event timestamp
 // (Event.Time units, i.e. monotonic nanoseconds in the real runtime), or

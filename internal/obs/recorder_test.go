@@ -10,10 +10,10 @@ import (
 )
 
 // TestWantsFilter pins the hot-path filter: rare scheduler transitions
-// pass at any depth, task spans and waits only at depth <= DepthLimit,
-// and a nil recorder wants nothing.
+// pass at any depth, task spans and waits only at depth <=
+// DefaultDepthLimit, and a nil recorder wants nothing.
 func TestWantsFilter(t *testing.T) {
-	r := NewRecorder(Config{Workers: 2, DepthLimit: 1})
+	r := NewRecorder(Config{Workers: 2})
 	always := []trace.EventType{
 		trace.EvStealAttempt, trace.EvStealSuccess, trace.EvStealFail,
 		trace.EvMigration, trace.EvPark, trace.EvWake, trace.EvBoundary,

@@ -134,8 +134,8 @@ func (j *Job) TraceID() int64 {
 func (j *Job) Hint() Hint { return j.hint }
 
 // Submitted returns the job's submission time. It is set once before the
-// job is published and never changes, so Admitters may read it from
-// inside Next without taking any lock.
+// job is published and never changes, so PriorityAdmitter.Next may read
+// it without taking any lock.
 func (j *Job) Submitted() time.Time { return j.submitted }
 
 // Context returns the job's context: it carries the submission context

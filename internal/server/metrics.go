@@ -116,12 +116,10 @@ const serverHistShards = 4
 
 // NewMetrics builds a fully populated Metrics recording into histograms
 // and counters registered on r under the standard adws_job_* names, plus
-// the per-class adws_jobs_*_seconds{class=...} families over classes
-// (nil: DefaultClasses).
-func NewMetrics(r *metrics.Registry, classes []string) *Metrics {
-	if len(classes) == 0 {
-		classes = DefaultClasses()
-	}
+// the per-class adws_jobs_*_seconds{class=...} families over
+// DefaultClasses.
+func NewMetrics(r *metrics.Registry) *Metrics {
+	classes := DefaultClasses()
 	return &Metrics{
 		QueueWait: r.Histogram("adws_job_queue_wait_seconds",
 			"Job admission latency: submit to dispatch.", serverHistShards),

@@ -15,7 +15,7 @@ import (
 // fresh registry — the configuration the adws façade always uses.
 func newMetricsServer(t *testing.T, workers int, cfg Config) (*Server, *Metrics) {
 	t.Helper()
-	m := NewMetrics(metrics.NewRegistry(), cfg.Classes)
+	m := NewMetrics(metrics.NewRegistry())
 	cfg.Metrics = m
 	p := runtime.NewPool(runtime.Config{
 		Machine: topology.Flat(workers, 32<<20, 1<<20),

@@ -13,15 +13,14 @@ import (
 // determinism-from-declared-hints principle ADWS applies to task
 // placement, lifted to the admission queue.
 
-// Built-in priority class names, highest priority first. Servers may
-// configure any class list; these are the defaults (see DefaultClasses).
+// Priority class names, highest priority first (see DefaultClasses).
 const (
 	ClassInteractive = "interactive"
 	ClassStandard    = "standard"
 	ClassBatch       = "batch"
 )
 
-// DefaultClasses returns the default priority-class list, highest
+// DefaultClasses returns the server's priority-class list, highest
 // priority first.
 func DefaultClasses() []string {
 	return []string{ClassInteractive, ClassStandard, ClassBatch}
@@ -62,11 +61,14 @@ type tokenBucket struct {
 // tenant accrues TenantRate tokens/second up to TenantBurst, one token
 // per admitted job; an empty bucket fast-rejects with ErrRateLimited.
 //
-// All methods run under the server's mutex (see Admitter), so the
-// admitter keeps plain maps without internal locking.
+// With TenantRate 0, Admit and CanDispatch are plain bounded-FIFO
+// admission; the server uses it that way under AdmitFIFO and dispatches
+// the queue head instead of calling Next.
+//
+// All methods run under the server's mutex, so the admitter keeps plain
+// maps without internal locking.
 type PriorityAdmitter struct {
-	// MaxInFlight and MaxQueue bound running and queued jobs exactly like
-	// BoundedFIFO.
+	// MaxInFlight and MaxQueue bound running and queued jobs.
 	MaxInFlight, MaxQueue int
 	// Aging is the promotion quantum (<= 0: DefaultAging). A queued job's
 	// effective level is its class index minus waited/Aging.
@@ -177,9 +179,8 @@ func (p *PriorityAdmitter) before(now time.Time, a, b *Job) bool {
 }
 
 // level is a job's aged priority level: its class index minus one per
-// Aging waited, clamped at 0. Unknown classes (possible only with a
-// hand-built Config whose class list disagrees with the admitter's) sort
-// after every configured class.
+// Aging waited, clamped at 0. Unknown classes (possible only in a queue
+// built outside a server) sort after every configured class.
 func (p *PriorityAdmitter) level(now time.Time, j *Job) int {
 	idx, ok := p.classIdx[j.Hint().Class]
 	if !ok {

@@ -175,7 +175,7 @@ func TestPastDeadlineRejectedSynchronously(t *testing.T) {
 // pinning bounded-FIFO slots: even when the prompt AfterFunc watcher is
 // out of the picture (simulated by detaching it), a dead queue entry
 // must not cause ErrOverloaded for the next submission — Submit reaps
-// expired entries before consulting the Admitter.
+// expired entries before admitting.
 func TestExpiredQueueEntriesDoNotReject(t *testing.T) {
 	s, _ := newTestServer(t, 2, Config{MaxInFlight: 1, MaxQueue: 1})
 	release := make(chan struct{})
@@ -212,61 +212,110 @@ func TestExpiredQueueEntriesDoNotReject(t *testing.T) {
 	}
 }
 
-// TestSLODispatchOrder pins end-to-end SLO dispatch: with one running
-// slot pinned, queued jobs dispatch interactive before standard before
-// batch regardless of submission order, and EDF orders within a class.
+// TestSLODispatchOrder pins end-to-end dispatch order: with one running
+// slot pinned, AdmitSLO dispatches queued jobs interactive before
+// standard before batch regardless of submission order, with EDF within
+// a class; AdmitFIFO runs the same submissions in submission order.
 func TestSLODispatchOrder(t *testing.T) {
-	s, _ := newTestServer(t, 2, Config{
-		MaxInFlight:     1,
-		MaxQueue:        10,
-		AdmissionPolicy: AdmitSLO,
-		Aging:           time.Hour, // effectively off for this test
-	})
-	release := make(chan struct{})
-	b := blocker(t, s, release)
-
-	var mu sync.Mutex
-	var order []string
-	body := func(tag string) func(*runtime.Ctx) error {
-		return func(*runtime.Ctx) error {
-			mu.Lock()
-			order = append(order, tag)
-			mu.Unlock()
-			return nil
-		}
-	}
-	far := time.Now().Add(time.Hour)
-	near := time.Now().Add(30 * time.Minute)
-	jobs := []*Job{}
-	for _, sub := range []struct {
-		tag string
-		h   Hint
+	for _, tc := range []struct {
+		policy string
+		want   []string
 	}{
-		{"batch", Hint{Class: ClassBatch}},
-		{"standard-far", Hint{Class: ClassStandard, Deadline: far}},
-		{"standard-near", Hint{Class: ClassStandard, Deadline: near}},
-		{"interactive", Hint{Class: ClassInteractive}},
+		{AdmitSLO, []string{"interactive", "standard-near", "standard-far", "batch"}},
+		{AdmitFIFO, []string{"batch", "standard-far", "standard-near", "interactive"}},
 	} {
-		j, err := s.Submit(context.Background(), body(sub.tag), sub.h)
-		if err != nil {
-			t.Fatal(err)
+		t.Run(tc.policy, func(t *testing.T) {
+			s, _ := newTestServer(t, 2, Config{
+				MaxInFlight:     1,
+				MaxQueue:        10,
+				AdmissionPolicy: tc.policy,
+			})
+			release := make(chan struct{})
+			b := blocker(t, s, release)
+
+			var mu sync.Mutex
+			var order []string
+			body := func(tag string) func(*runtime.Ctx) error {
+				return func(*runtime.Ctx) error {
+					mu.Lock()
+					order = append(order, tag)
+					mu.Unlock()
+					return nil
+				}
+			}
+			far := time.Now().Add(time.Hour)
+			near := time.Now().Add(30 * time.Minute)
+			jobs := []*Job{}
+			for _, sub := range []struct {
+				tag string
+				h   Hint
+			}{
+				{"batch", Hint{Class: ClassBatch}},
+				{"standard-far", Hint{Class: ClassStandard, Deadline: far}},
+				{"standard-near", Hint{Class: ClassStandard, Deadline: near}},
+				{"interactive", Hint{Class: ClassInteractive}},
+			} {
+				j, err := s.Submit(context.Background(), body(sub.tag), sub.h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, j)
+			}
+			close(release)
+			wait(t, b)
+			for _, j := range jobs {
+				wait(t, j)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(order) != len(tc.want) {
+				t.Fatalf("ran %d jobs, want %d (%v)", len(order), len(tc.want), order)
+			}
+			for i := range tc.want {
+				if order[i] != tc.want[i] {
+					t.Fatalf("dispatch order = %v, want %v", order, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestFIFOIgnoresTenantRate pins that tenant token buckets are an
+// AdmitSLO feature: a FIFO server configured with a rate never returns
+// ErrRateLimited, while an SLO server with the same rate does.
+func TestFIFOIgnoresTenantRate(t *testing.T) {
+	for _, tc := range []struct {
+		policy      string
+		wantLimited bool
+	}{{AdmitFIFO, false}, {AdmitSLO, true}} {
+		s, _ := newTestServer(t, 2, Config{
+			MaxInFlight:     1,
+			MaxQueue:        8,
+			AdmissionPolicy: tc.policy,
+			TenantRate:      0.001,
+			TenantBurst:     1,
+		})
+		release := make(chan struct{})
+		limited := false
+		var jobs []*Job
+		for i := 0; i < 4; i++ {
+			j, err := s.Submit(context.Background(), func(*runtime.Ctx) error { <-release; return nil },
+				Hint{Tenant: "alice"})
+			switch {
+			case errors.Is(err, ErrRateLimited):
+				limited = true
+			case err != nil:
+				t.Fatalf("%s: submit %d: %v", tc.policy, i, err)
+			default:
+				jobs = append(jobs, j)
+			}
 		}
-		jobs = append(jobs, j)
-	}
-	close(release)
-	wait(t, b)
-	for _, j := range jobs {
-		wait(t, j)
-	}
-	want := []string{"interactive", "standard-near", "standard-far", "batch"}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != len(want) {
-		t.Fatalf("ran %d jobs, want %d (%v)", len(order), len(want), order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order = %v, want %v", order, want)
+		close(release)
+		for _, j := range jobs {
+			wait(t, j)
+		}
+		if limited != tc.wantLimited {
+			t.Errorf("%s: rate limited = %v, want %v", tc.policy, limited, tc.wantLimited)
 		}
 	}
 }

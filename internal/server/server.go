@@ -44,7 +44,8 @@ var (
 
 // Built-in admission policy names for Config.AdmissionPolicy.
 const (
-	// AdmitFIFO is bounded-FIFO admission (BoundedFIFO), the default.
+	// AdmitFIFO is bounded-FIFO admission, the default: dispatch in
+	// submission order, no tenant rate limits.
 	AdmitFIFO = "fifo"
 	// AdmitSLO is SLO-aware admission (PriorityAdmitter): priority
 	// classes with aging, EDF within a class, SJF tie-break, per-tenant
@@ -52,42 +53,25 @@ const (
 	AdmitSLO = "slo"
 )
 
-// Config parameterizes admission control and placement.
+// retainDone caps how many terminal jobs the id lookup keeps, oldest
+// evicted first. In-flight jobs are always retained.
+const retainDone = 1024
+
+// Config parameterizes admission control.
 type Config struct {
 	// MaxInFlight caps concurrently running jobs (<= 0: the pool's worker
-	// count). Consulted by the built-in Admitters only.
+	// count).
 	MaxInFlight int
 	// MaxQueue caps the admission queue depth; submissions beyond it are
 	// fast-rejected with ErrOverloaded (<= 0: 4 × MaxInFlight).
-	// Consulted by the built-in Admitters only.
 	MaxQueue int
-	// RetainDone caps how many terminal jobs the id lookup keeps, oldest
-	// evicted first (<= 0: 1024). In-flight jobs are always retained.
-	RetainDone int
-	// AdmissionPolicy selects the built-in admission policy when Admitter
-	// is nil: AdmitFIFO (default) or AdmitSLO. Any other value panics in
-	// New.
+	// AdmissionPolicy is AdmitFIFO (default) or AdmitSLO. Any other value
+	// panics in New.
 	AdmissionPolicy string
-	// Classes is the priority-class list, highest priority first (nil:
-	// DefaultClasses). Per-class accounting uses it under every policy;
-	// dispatch order consults it only under AdmitSLO.
-	Classes []string
-	// DefaultClass is the class assigned to submissions with an empty
-	// Hint.Class ("": ClassStandard when present in Classes, else the
-	// lowest-priority class).
-	DefaultClass string
-	// Aging is the AdmitSLO cross-class promotion quantum (<= 0:
-	// DefaultAging).
-	Aging time.Duration
 	// TenantRate and TenantBurst configure AdmitSLO per-tenant token
 	// buckets (rate <= 0 disables limiting; burst <= 0 defaults to
-	// max(1, rate)).
+	// max(1, rate)). AdmitFIFO ignores them.
 	TenantRate, TenantBurst float64
-	// Admitter is the admission policy (nil: built from AdmissionPolicy).
-	Admitter Admitter
-	// Placer is the worker-range placement policy (nil: a fresh
-	// CursorPlacer).
-	Placer Placer
 	// Metrics, if non-nil, receives per-job queue-wait, service, and
 	// end-to-end latencies plus admission reject / deadline-expiry counts
 	// (see Metrics). Nil disables recording at one pointer check per site.
@@ -101,43 +85,12 @@ func (c Config) withDefaults(workers int) Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInFlight
 	}
-	if c.RetainDone <= 0 {
-		c.RetainDone = 1024
-	}
-	if c.AdmissionPolicy == "" {
+	switch c.AdmissionPolicy {
+	case "":
 		c.AdmissionPolicy = AdmitFIFO
-	}
-	if len(c.Classes) == 0 {
-		c.Classes = DefaultClasses()
-	}
-	if c.DefaultClass == "" {
-		c.DefaultClass = c.Classes[len(c.Classes)-1]
-		for _, cl := range c.Classes {
-			if cl == ClassStandard {
-				c.DefaultClass = ClassStandard
-				break
-			}
-		}
-	}
-	if !containsClass(c.Classes, c.DefaultClass) {
-		panic("server: DefaultClass " + c.DefaultClass + " is not in Classes")
-	}
-	if c.Admitter == nil {
-		switch c.AdmissionPolicy {
-		case AdmitFIFO:
-			c.Admitter = BoundedFIFO{MaxInFlight: c.MaxInFlight, MaxQueue: c.MaxQueue}
-		case AdmitSLO:
-			p := NewPriorityAdmitter(c.Classes, c.MaxInFlight, c.MaxQueue)
-			p.Aging = c.Aging
-			p.TenantRate = c.TenantRate
-			p.TenantBurst = c.TenantBurst
-			c.Admitter = p
-		default:
-			panic("server: unknown admission policy " + c.AdmissionPolicy)
-		}
-	}
-	if c.Placer == nil {
-		c.Placer = NewCursorPlacer()
+	case AdmitFIFO, AdmitSLO:
+	default:
+		panic("server: unknown admission policy " + c.AdmissionPolicy)
 	}
 	return c
 }
@@ -162,27 +115,21 @@ type classState struct {
 	tenants map[string]*tenantAgg
 }
 
-func containsClass(classes []string, c string) bool {
-	for _, cl := range classes {
-		if cl == c {
-			return true
-		}
-	}
-	return false
-}
-
-// Server serves concurrent jobs on one Runtime (usually a
-// *runtime.Pool).
+// Server serves concurrent jobs on one runtime pool.
 type Server struct {
-	pool Runtime
+	pool *runtime.Pool
 	cfg  Config
 	// metrics is nil unless latency recording was requested.
 	metrics *Metrics
+	// adm decides admission and, under AdmitSLO, dispatch order. Under
+	// AdmitFIFO it has no tenant limits and the queue head dispatches.
+	adm *PriorityAdmitter
 
 	mu       sync.Mutex //adws:lockrank(30) under cluster.mu, over the runtime's pool locks
 	queue    []*Job
 	running  int
 	workSum  float64 // Σ work hints of running jobs
+	cursor   float64 // rolling placement cursor in [0, 1)
 	idSeq    int64
 	draining bool
 	closed   bool
@@ -196,19 +143,24 @@ type Server struct {
 
 // New creates a job server over pool. The server starts no goroutines
 // until jobs are submitted.
-func New(pool Runtime, cfg Config) *Server {
+func New(pool *runtime.Pool, cfg Config) *Server {
 	if cfg.Metrics != nil {
 		cfg.Metrics.check()
 	}
 	cfg = cfg.withDefaults(pool.NumWorkers())
-	classes := make(map[string]*classState, len(cfg.Classes))
-	for _, c := range cfg.Classes {
+	adm := NewPriorityAdmitter(DefaultClasses(), cfg.MaxInFlight, cfg.MaxQueue)
+	if cfg.AdmissionPolicy == AdmitSLO {
+		adm.TenantRate, adm.TenantBurst = cfg.TenantRate, cfg.TenantBurst
+	}
+	classes := make(map[string]*classState)
+	for _, c := range DefaultClasses() {
 		classes[c] = &classState{tenants: make(map[string]*tenantAgg)}
 	}
 	return &Server{
 		pool:    pool,
 		cfg:     cfg,
 		metrics: cfg.Metrics,
+		adm:     adm,
 		jobs:    make(map[int64]*Job),
 		classes: classes,
 	}
@@ -242,7 +194,7 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 		return nil, ErrDraining
 	}
 	if h.Class == "" {
-		h.Class = s.cfg.DefaultClass
+		h.Class = ClassStandard
 	}
 	cs := s.classes[h.Class]
 	if cs == nil {
@@ -260,10 +212,10 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 		return nil, context.DeadlineExceeded
 	}
 	// Reap entries whose deadline or context expired while queued before
-	// consulting the Admitter, so a burst of short-deadline jobs cannot
-	// pin queue slots and cause spurious ErrOverloaded rejects.
+	// admitting, so a burst of short-deadline jobs cannot pin queue slots
+	// and cause spurious ErrOverloaded rejects.
 	s.reapExpiredLocked()
-	if err := s.cfg.Admitter.Admit(h, now, len(s.queue), s.running); err != nil {
+	if err := s.adm.Admit(h, now, len(s.queue), s.running); err != nil {
 		s.ctrs.Rejected++
 		cs.ctrs.Rejected++
 		s.noteReject(err)
@@ -293,7 +245,7 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 	cs.ctrs.Submitted++
 	s.retainLocked(j)
 
-	if s.cfg.Admitter.CanDispatch(s.running) && len(s.queue) == 0 {
+	if s.adm.CanDispatch(s.running) && len(s.queue) == 0 {
 		s.dispatchLocked(j)
 		return j, nil
 	}
@@ -348,11 +300,33 @@ func (s *Server) dispatchLocked(j *Job) {
 	go s.reap(j, work)
 }
 
-// placeLocked delegates the worker-range division to the configured
-// Placer (by default CursorPlacer, the §3.1 hint-proportional division —
-// see iface.go). Caller holds s.mu.
+// placeLocked carves the worker-range fraction [lo, hi) ⊆ [0, 1] for a
+// dispatching job with (positive) work hint work — the paper's §3.1
+// hint-proportional division applied at the job level: the job receives
+// the fraction work / (running work + work) of the workers, clamped to at
+// least one worker, carved from a rolling cursor that wraps to 0 when the
+// slice would cross the top. Deterministic in dispatch order. Caller
+// holds s.mu.
 func (s *Server) placeLocked(work float64) (lo, hi float64) {
-	return s.cfg.Placer.Place(work, Load{WorkSum: s.workSum, Workers: s.pool.NumWorkers()})
+	width := work / (s.workSum + work)
+	if minW := 1 / float64(s.pool.NumWorkers()); width < minW {
+		width = minW
+	}
+	if width > 1 {
+		width = 1
+	}
+	if s.cursor+width > 1 {
+		s.cursor = 0
+	}
+	lo = s.cursor
+	hi = lo + width
+	if hi >= 1 {
+		hi = 1
+		s.cursor = 0
+	} else {
+		s.cursor = hi
+	}
+	return lo, hi
 }
 
 // body wraps the job's fn for the runtime: a sized root task group when
@@ -390,7 +364,7 @@ func (s *Server) body(j *Job) func(*runtime.Ctx) {
 }
 
 // reap waits for j's root to complete, finalizes it, and dispatches the
-// next queued job(s) in Admitter order.
+// next queued job(s).
 func (s *Server) reap(j *Job, work float64) {
 	<-j.root.Done()
 	s.mu.Lock()
@@ -411,15 +385,15 @@ func (s *Server) reap(j *Job, work float64) {
 	s.signalDrainedLocked()
 }
 
-// dispatchQueuedLocked reaps expired queue entries, then dispatches in
-// Admitter-chosen order while running slots are free. Caller holds s.mu.
+// dispatchQueuedLocked reaps expired queue entries, then dispatches while
+// running slots are free: the queue head under AdmitFIFO, the admitter's
+// pick under AdmitSLO. Caller holds s.mu.
 func (s *Server) dispatchQueuedLocked() {
 	s.reapExpiredLocked()
-	for s.cfg.Admitter.CanDispatch(s.running) && len(s.queue) > 0 {
-		now := time.Now()
-		i := s.cfg.Admitter.Next(now, s.queue)
-		if i < 0 || i >= len(s.queue) {
-			i = 0
+	for s.adm.CanDispatch(s.running) && len(s.queue) > 0 {
+		i := 0
+		if s.cfg.AdmissionPolicy == AdmitSLO {
+			i = s.adm.Next(time.Now(), s.queue)
 		}
 		next := s.queue[i]
 		copy(s.queue[i:], s.queue[i+1:])
@@ -597,13 +571,8 @@ func (s *Server) OldestQueueAge() time.Duration {
 	return age
 }
 
-// Classes returns the configured priority-class list, highest priority
-// first.
-func (s *Server) Classes() []string {
-	out := make([]string, len(s.cfg.Classes))
-	copy(out, s.cfg.Classes)
-	return out
-}
+// Classes returns the priority-class list, highest priority first.
+func (s *Server) Classes() []string { return DefaultClasses() }
 
 // QueuedByClass returns the live queue depth per class (expired entries
 // reaped first). Classes with an empty queue are present with a zero.
@@ -611,8 +580,8 @@ func (s *Server) QueuedByClass() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reapExpiredLocked()
-	out := make(map[string]int, len(s.cfg.Classes))
-	for _, c := range s.cfg.Classes {
+	out := make(map[string]int, len(s.classes))
+	for c := range s.classes {
 		out[c] = 0
 	}
 	for _, j := range s.queue {
@@ -663,7 +632,7 @@ func (s *Server) JainByClass() map[string]float64 {
 	return out
 }
 
-// Workers returns the underlying Runtime's worker count.
+// Workers returns the underlying pool's worker count.
 func (s *Server) Workers() int { return s.pool.NumWorkers() }
 
 // Counters returns the monotonic admission counters.
@@ -678,11 +647,11 @@ func (s *Server) Counters() Counters {
 func (s *Server) retainLocked(j *Job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	if len(s.order) <= s.cfg.RetainDone {
+	if len(s.order) <= retainDone {
 		return
 	}
 	kept := s.order[:0]
-	excess := len(s.order) - s.cfg.RetainDone
+	excess := len(s.order) - retainDone
 	for _, id := range s.order {
 		if excess > 0 {
 			if old, ok := s.jobs[id]; ok && old.state.Terminal() {

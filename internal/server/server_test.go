@@ -411,12 +411,13 @@ func TestPerJobTraceSlices(t *testing.T) {
 	}
 }
 
-// TestRetention pins the bounded terminal-job history: with RetainDone=3,
-// old completed jobs are evicted while newer ones stay addressable.
+// TestRetention pins the bounded terminal-job history: three jobs past
+// the retainDone cap, the three oldest completed jobs are evicted while
+// every newer one stays addressable.
 func TestRetention(t *testing.T) {
-	s, _ := newTestServer(t, 2, Config{MaxInFlight: 1, RetainDone: 3})
+	s, _ := newTestServer(t, 2, Config{MaxInFlight: 1})
 	var last *Job
-	for i := 0; i < 6; i++ {
+	for i := 0; i < retainDone+3; i++ {
 		j, err := s.Submit(context.Background(), noop, Hint{})
 		if err != nil {
 			t.Fatal(err)
@@ -424,21 +425,26 @@ func TestRetention(t *testing.T) {
 		wait(t, j)
 		last = j
 	}
-	if _, ok := s.Job(1); ok {
-		t.Error("job 1 still retained past the cap")
+	for id := int64(1); id <= 3; id++ {
+		if _, ok := s.Job(id); ok {
+			t.Errorf("job %d still retained past the cap", id)
+		}
+	}
+	if _, ok := s.Job(4); !ok {
+		t.Error("job 4 evicted below the cap")
 	}
 	if _, ok := s.Job(last.ID()); !ok {
 		t.Errorf("latest job %d not retained", last.ID())
 	}
-	if got := len(s.Jobs()); got != 3 {
-		t.Errorf("Jobs() returned %d, want 3", got)
+	if got := len(s.Jobs()); got != retainDone {
+		t.Errorf("Jobs() returned %d, want %d", got, retainDone)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	s, _ := newTestServer(t, 8, Config{})
 	cfg := s.Config()
-	if cfg.MaxInFlight != 8 || cfg.MaxQueue != 32 || cfg.RetainDone != 1024 {
+	if cfg.MaxInFlight != 8 || cfg.MaxQueue != 32 || cfg.AdmissionPolicy != AdmitFIFO {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
