@@ -31,6 +31,7 @@ import (
 	"fmt"
 	gort "runtime"
 
+	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/obs"
 	"github.com/parlab/adws/internal/runtime"
 	"github.com/parlab/adws/internal/server"
@@ -194,7 +195,6 @@ type config struct {
 	scheduler   Scheduler
 	machine     *topology.Machine
 	seed        uint64
-	pinThreads  bool
 	traceCap    int
 	frCap       int
 	noWatchdog  bool
@@ -249,12 +249,6 @@ func WithHierarchy(levels []CacheLevel, numaSplit int) Option {
 // WithSeed fixes the victim-selection seed (default 1).
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
-}
-
-// WithPinnedThreads locks each worker goroutine to an OS thread, the
-// paper's worker-per-core configuration.
-func WithPinnedThreads() Option {
-	return func(c *config) { c.pinThreads = true }
 }
 
 // WithTracing enables the scheduler event tracer with the given per-worker
@@ -374,24 +368,22 @@ func NewPool(opts ...Option) (*Pool, error) {
 			Capacity: cfg.frCap,
 		})
 	}
-	reg, rtm := newPoolRegistry(cfg.machine.NumWorkers())
+	reg := metrics.NewRegistry()
 	p := runtime.NewPool(runtime.Config{
-		Machine:    cfg.machine,
-		Policy:     cfg.scheduler,
-		Seed:       cfg.seed,
-		PinThreads: cfg.pinThreads,
-		Tracer:     tr,
-		Flight:     fr,
-		Metrics:    rtm,
+		Machine:  cfg.machine,
+		Policy:   cfg.scheduler,
+		Seed:     cfg.seed,
+		Tracer:   tr,
+		Flight:   fr,
+		Registry: reg,
 	})
-	sm := server.NewMetrics(reg)
 	srv := server.New(p, server.Config{
 		MaxInFlight:     cfg.maxInFlight,
 		MaxQueue:        cfg.maxQueue,
 		AdmissionPolicy: cfg.admission,
 		TenantRate:      cfg.tenantRate,
 		TenantBurst:     cfg.tenantBurst,
-		Metrics:         sm,
+		Registry:        reg,
 	})
 	pool := &Pool{p: p, srv: srv, tracer: tr, reg: reg, flight: fr}
 	if !cfg.noWatchdog {
@@ -399,8 +391,8 @@ func NewPool(opts ...Option) (*Pool, error) {
 			Sched:            p.SchedSnapshot,
 			QueuedJobs:       func() int { q, _ := srv.InFlight(); return q },
 			OldestQueueAgeNS: func() int64 { return int64(srv.OldestQueueAge()) },
-			DeadlineExpired:  func() int64 { return sm.Expired.Value() },
-			SLOBurn:          burnSignal(srv, sm),
+			DeadlineExpired:  srv.DeadlineExpired,
+			SLOBurn:          burnSignal(srv),
 		}, cfg.wd)
 		pool.wd.Start()
 	}
@@ -412,10 +404,10 @@ func NewPool(opts ...Option) (*Pool, error) {
 // jobs that reached a terminal outcome since the previous sample and
 // expired their deadline. Only the watchdog goroutine calls it, so the
 // previous-sample state needs no locking.
-func burnSignal(srv *server.Server, sm *server.Metrics) func() float64 {
+func burnSignal(srv *server.Server) func() float64 {
 	var lastExp, lastDone int64
 	return func() float64 {
-		exp := sm.Expired.Value()
+		exp := srv.DeadlineExpired()
 		c := srv.Counters()
 		done := c.Completed + c.Failed + c.Canceled + c.Rejected
 		dExp, dDone := exp-lastExp, done-lastDone
@@ -486,10 +478,6 @@ func (p *Pool) Counters() Counters { return p.srv.Counters() }
 // AdmissionPolicy returns the pool's effective admission policy
 // (AdmitFIFO or AdmitSLO).
 func (p *Pool) AdmissionPolicy() string { return p.srv.Config().AdmissionPolicy }
-
-// Classes returns the pool's priority-class list, highest priority
-// first.
-func (p *Pool) Classes() []string { return p.srv.Classes() }
 
 // ClassCounters returns per-priority-class admission counters.
 func (p *Pool) ClassCounters() map[string]Counters { return p.srv.ClassCounters() }

@@ -29,9 +29,6 @@ func RoutingPolicies() []string { return cluster.Policies() }
 // id (ClusterID), target pool (Pool), and routing Verdict.
 type ClusterJob = cluster.Job
 
-// ClusterSnapshot is one pool's live load at routing time.
-type ClusterSnapshot = cluster.Snapshot
-
 // RouteCounts are one pool's monotonic routing counters (warm / cold /
 // spill / moved partition, per-pool jobs and rejects).
 type RouteCounts = cluster.RouteCounts
@@ -123,9 +120,6 @@ func (c *Cluster) Pool(i int) *Pool { return c.pools[i] }
 
 // Policy returns the routing policy name.
 func (c *Cluster) Policy() string { return c.cl.Policy() }
-
-// Snapshots returns one live load snapshot per pool.
-func (c *Cluster) Snapshots() []ClusterSnapshot { return c.cl.Snapshots() }
 
 // RouteCounts returns the per-pool routing counters.
 func (c *Cluster) RouteCounts() []RouteCounts { return c.cl.RouteCounts() }

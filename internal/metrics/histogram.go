@@ -96,28 +96,19 @@ func (s *histShard) record(v int64) {
 // use Record for fully uncontended recording; callers without one use
 // RecordAny, which rotates shards with one extra atomic add.
 type Histogram struct {
-	name, help string
-	rr         atomic.Uint64
-	shards     []histShard
+	rr     atomic.Uint64
+	shards []histShard
 }
 
 // NewStandaloneHistogram returns an unregistered, unnamed histogram, for
 // tooling that wants the bucket layout and quantile machinery without a
-// registry (e.g. the bench harness timing Record itself, or tests handing
-// a pool its own latency histograms).
+// registry (e.g. the bench harness timing Record itself).
 func NewStandaloneHistogram(shards int) *Histogram {
 	if shards < 1 {
 		shards = 1
 	}
 	return &Histogram{shards: make([]histShard, shards)}
 }
-
-// Name returns the histogram's registered metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// Shards returns the number of recorder shards (valid Record indices are
-// [0, Shards())).
-func (h *Histogram) Shards() int { return len(h.shards) }
 
 // Record adds v (by convention nanoseconds) to the given shard.
 // Concurrent calls are safe on any shards, including the same one.

@@ -64,7 +64,7 @@ func exactQuantile(sorted []int64, q float64) float64 {
 // relative plus the 64ns linear-region bucket width.
 func checkQuantiles(t *testing.T, name string, samples []int64) {
 	t.Helper()
-	h := &Histogram{name: name, shards: make([]histShard, 4)}
+	h := NewStandaloneHistogram(4)
 	for _, v := range samples {
 		h.RecordAny(v)
 	}
@@ -131,7 +131,7 @@ func TestQuantileEmpty(t *testing.T) {
 // TestOverflowBucketUsesMax checks that a value past the log-linear range
 // is reported from the exact CAS-tracked maximum, not +Inf.
 func TestOverflowBucketUsesMax(t *testing.T) {
-	h := &Histogram{name: "x", shards: make([]histShard, 1)}
+	h := NewStandaloneHistogram(1)
 	huge := int64(1) << 45
 	h.Record(0, huge)
 	s := h.Snapshot()
@@ -150,7 +150,7 @@ func TestShardMergeConcurrent(t *testing.T) {
 		perWorker     = 50_000
 		totalExpected = workers * perWorker
 	)
-	h := &Histogram{name: "x", shards: make([]histShard, workers)}
+	h := NewStandaloneHistogram(workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -212,7 +212,7 @@ func TestShardMergeConcurrent(t *testing.T) {
 }
 
 func BenchmarkHistogramRecord(b *testing.B) {
-	h := &Histogram{name: "x", shards: make([]histShard, 1)}
+	h := NewStandaloneHistogram(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(0, int64(i)%1_000_000)
@@ -220,7 +220,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 }
 
 func BenchmarkHistogramRecordAny(b *testing.B) {
-	h := &Histogram{name: "x", shards: make([]histShard, 8)}
+	h := NewStandaloneHistogram(8)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		var i int64

@@ -6,9 +6,10 @@
 // The recording paths — Counter.Inc/Add, Gauge.Set, Histogram.Record —
 // take no locks and allocate nothing, and are sanctioned on
 // //adws:hotpath functions (adwsvet's hotpath analyzer verifies they stay
-// atomic-only). The wiring contract matches the tracer's: a nil *Metrics
-// struct in runtime/server config costs one pointer check per site.
-// Rendering (WriteText) is the slow path and may take locks.
+// atomic-only). The runtime and the job server register their own
+// families on the Registry their Config names (nil: a private one), so
+// their sites record unconditionally. Rendering (WriteText) is the slow
+// path and may take locks.
 package metrics
 
 import (
@@ -170,7 +171,7 @@ func (r *Registry) Histogram(name, help string, shards int) *Histogram {
 	if shards < 1 {
 		shards = 1
 	}
-	h := &Histogram{name: name, help: help, shards: make([]histShard, shards)}
+	h := &Histogram{shards: make([]histShard, shards)}
 	r.register(entry{name: name, help: help, typ: "histogram", hist: h})
 	r.byName[name] = h
 	return h
@@ -199,7 +200,7 @@ func (r *Registry) HistogramVec(name, help, label string, values []string, shard
 		if _, dup := out[v]; dup {
 			panic("metrics: HistogramVec " + name + " repeats label value " + strconv.Quote(v))
 		}
-		h := &Histogram{name: name, help: help, shards: make([]histShard, shards)}
+		h := &Histogram{shards: make([]histShard, shards)}
 		vec = append(vec, vecHist{value: v, hist: h})
 		out[v] = h
 	}

@@ -5,15 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/topology"
 )
 
 // Idle/wakeup-path microbenchmarks. These pin the cost of the Spawn/Wait
 // and task-completion fast paths (which must not take any global lock when
 // no worker is parked) and the submit latency into a fully parked pool.
-// Before/after numbers for the per-worker parker live in
-// results/park_wakeup.txt and EXPERIMENTS.md.
+// Before/after numbers for the per-worker parker live in EXPERIMENTS.md.
 
 var benchWorkerCounts = []int{1, 4, 8}
 
@@ -174,65 +172,6 @@ func BenchmarkParkedSubmit(b *testing.B) {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			p := newBenchPool(b, ADWS, workers)
 			// Let every worker run dry and park before measuring.
-			time.Sleep(5 * time.Millisecond)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j, err := p.SubmitRoot(func(c *Ctx) {}, 0, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				<-j.Done()
-			}
-		})
-	}
-}
-
-// newBenchPoolMetrics is newBenchPool with latency metrics enabled — the
-// adws façade's always-on configuration. The plain benchmarks above keep
-// metrics nil, so comparing the two quantifies the recording overhead
-// (results/metrics_overhead.txt); the nil-metrics numbers themselves are
-// the regression gate against pre-metrics baselines.
-func newBenchPoolMetrics(b *testing.B, pol Policy, workers int) *Pool {
-	b.Helper()
-	p := NewPool(Config{
-		Machine: topology.Flat(workers, 32<<20, 1<<20),
-		Policy:  pol,
-		Seed:    42,
-		Metrics: &Metrics{
-			Park:         metrics.NewStandaloneHistogram(workers),
-			StealAttempt: metrics.NewStandaloneHistogram(workers),
-			WakeToRun:    metrics.NewStandaloneHistogram(workers),
-		},
-	})
-	b.Cleanup(p.Close)
-	return p
-}
-
-// BenchmarkSpawnTreeMetrics is BenchmarkSpawnTree with recording enabled:
-// the steal-probe and wake instrumentation is the only difference.
-func BenchmarkSpawnTreeMetrics(b *testing.B) {
-	const depth = 9
-	for _, pol := range []Policy{WS, ADWS} {
-		for _, workers := range benchWorkerCounts {
-			b.Run(fmt.Sprintf("%v/w%d", pol, workers), func(b *testing.B) {
-				p := newBenchPoolMetrics(b, pol, workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.Run(func(c *Ctx) { spawnTree(c, depth) })
-				}
-				b.ReportMetric(float64(int(1)<<(depth+1)-2), "tasks/op")
-			})
-		}
-	}
-}
-
-// BenchmarkParkedSubmitMetrics is BenchmarkParkedSubmit with recording
-// enabled: every measured op records one park duration and one
-// wake-to-run latency.
-func BenchmarkParkedSubmitMetrics(b *testing.B) {
-	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			p := newBenchPoolMetrics(b, ADWS, workers)
 			time.Sleep(5 * time.Millisecond)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

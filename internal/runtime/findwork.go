@@ -57,17 +57,6 @@ func (w *worker) findTask(g *taskGroup) *task {
 	return nil
 }
 
-// noteSteal records a successful steal on the worker and the stolen
-// task's job.
-//
-//adws:hotpath
-func (w *worker) noteSteal(t *task) {
-	w.stats.steals.Add(1)
-	if t.job != nil {
-		t.job.steals.Add(1)
-	}
-}
-
 // noteStart records that task t begins on entity e: e becomes the task's
 // entity (a stolen task changes hands here) and the task's cross-worker
 // group becomes e's steal anchor. Consecutive tasks almost always share
@@ -80,8 +69,6 @@ func (w *worker) noteStart(e *entity, t *task) {
 		e.lastGroup.Store(t.group)
 	}
 	t.ent = e
-	// Obtaining a task closes any pending park-wakeup span.
-	w.noteRunAfterWake()
 }
 
 // candidates returns the entities this worker may act for, in priority
@@ -115,26 +102,51 @@ func (w *worker) candidates() []*entity {
 	return out
 }
 
-// stealEvent stamps and records a steal-probe event if a sink wants it;
-// t is the stolen task of a success event, nil otherwise.
-func (w *worker) stealEvent(ev trace.Event, t *task) {
-	if !w.wantEv(ev.Type, ev.Depth) {
-		return
+// probed does the bookkeeping of one victim probe that began at start
+// and stole t (nil: nothing), and returns the probe's end stamp, which is
+// also the next probe's start. That one clock read serves the worker's
+// attempt and steal counters, the stolen task's job, the probe histogram,
+// and the attempt (stamped start) and success (stamped end) events. ev
+// carries the probe's Self, Victim, Depth and range.
+//
+//adws:hotpath
+func (w *worker) probed(ev trace.Event, start int64, t *task) int64 {
+	end := now()
+	w.stats.stealAttempts.Add(1)
+	w.pool.probeHist.Record(w.id, end-start)
+	if w.wantEv(trace.EvStealAttempt, ev.Depth) {
+		ev.Type, ev.Time = trace.EvStealAttempt, start
+		w.emit(ev, ev.Depth)
 	}
-	ev.Time = now()
 	if t != nil {
-		ev.Task, ev.Job = t.seq, t.jobID()
+		w.stats.steals.Add(1)
+		if t.job != nil {
+			t.job.steals.Add(1)
+		}
+		if w.wantEv(trace.EvStealSuccess, ev.Depth) {
+			ev.Type, ev.Time = trace.EvStealSuccess, end
+			ev.Task, ev.Job = t.seq, t.jobID()
+			w.emit(ev, ev.Depth)
+		}
 	}
-	w.emit(ev, ev.Depth)
+	return end
+}
+
+// stealFailed records the fail event of a steal round whose last probe
+// ended at end.
+func (w *worker) stealFailed(ev trace.Event, end int64) {
+	if w.wantEv(trace.EvStealFail, ev.Depth) {
+		ev.Type, ev.Victim, ev.Time = trace.EvStealFail, 0, end
+		w.emit(ev, ev.Depth)
+	}
 }
 
 // trySteal makes one bounded round of random steal probes for entity ent:
 // inside the dominant group's steal range under ADWS (sched.PlanSteal),
-// uniformly over the domain under WS.
+// uniformly over the domain under WS. A round of k probes reads the clock
+// k + 1 times.
 func (w *worker) trySteal(ent *entity, minDepth int) *task {
 	d := ent.dom
-	timed := w.pool.metrics != nil
-	var probeStart int64
 	if d.adws {
 		plan, ok := sched.PlanSteal(ent.lastGroup.Load(), d.Axis, ent.idx, minDepth)
 		if !ok {
@@ -142,14 +154,10 @@ func (w *worker) trySteal(ent *entity, minDepth int) *task {
 		}
 		ev := trace.Event{Self: int32(plan.Self), Depth: int32(plan.MinDepth)}
 		ev.RangeLo, ev.RangeHi = plan.HalfOpen()
+		stamp := now()
 		for a := 0; a < plan.Tries; a++ {
-			w.stats.stealAttempts.Add(1)
-			if timed {
-				probeStart = now()
-			}
 			v := plan.Draw(w.rng)
-			ev.Type, ev.Victim = trace.EvStealAttempt, int32(v.Logical)
-			w.stealEvent(ev, nil)
+			ev.Victim = int32(v.Logical)
 			var t *task
 			if v.Migration {
 				t = d.entities[v.Physical].stealMigration(plan.MinDepth)
@@ -157,18 +165,13 @@ func (w *worker) trySteal(ent *entity, minDepth int) *task {
 			if t == nil && v.Primary {
 				t = d.entities[v.Physical].stealPrimary(plan.MinDepth)
 			}
-			w.noteStealProbe(probeStart)
-			if t != nil {
-				w.noteSteal(t)
-				ev.Type = trace.EvStealSuccess
-				w.stealEvent(ev, t)
+			if stamp = w.probed(ev, stamp, t); t != nil {
 				t.inMigration = false
 				t.rng = d.Rebase(t.rng, plan.Self)
 				return t
 			}
 		}
-		ev.Type, ev.Victim = trace.EvStealFail, 0
-		w.stealEvent(ev, nil)
+		w.stealFailed(ev, stamp)
 		return nil
 	}
 	tries := sched.UniformTries(d.N)
@@ -176,24 +179,15 @@ func (w *worker) trySteal(ent *entity, minDepth int) *task {
 		return nil
 	}
 	ev := trace.Event{Self: int32(ent.idx)}
+	stamp := now()
 	for a := 0; a < tries; a++ {
-		w.stats.stealAttempts.Add(1)
-		if timed {
-			probeStart = now()
-		}
 		v := sched.UniformVictim(w.rng, d.N, ent.idx)
-		ev.Type, ev.Victim = trace.EvStealAttempt, int32(v)
-		w.stealEvent(ev, nil)
+		ev.Victim = int32(v)
 		t := d.entities[v].stealPrimary(0)
-		w.noteStealProbe(probeStart)
-		if t != nil {
-			w.noteSteal(t)
-			ev.Type = trace.EvStealSuccess
-			w.stealEvent(ev, t)
+		if stamp = w.probed(ev, stamp, t); t != nil {
 			return t
 		}
 	}
-	ev.Type, ev.Victim = trace.EvStealFail, 0
-	w.stealEvent(ev, nil)
+	w.stealFailed(ev, stamp)
 	return nil
 }

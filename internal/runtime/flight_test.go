@@ -15,8 +15,8 @@ import (
 // newBenchPoolFlight is newBenchPool with the always-on flight recorder
 // attached (the adws façade's default configuration). Comparing against
 // the plain benchmarks quantifies the recorder's hot-path cost — the
-// Wants filter plus ring writes for the depth<=1 span events — which the
-// ≤3% acceptance budget in results/flight_recorder.txt is measured from.
+// Wants filter plus ring writes for the depth<=1 span events — from which
+// the recorder budget in EXPERIMENTS.md is measured.
 func newBenchPoolFlight(b *testing.B, pol Policy, workers int) *Pool {
 	b.Helper()
 	p := NewPool(Config{
@@ -195,9 +195,9 @@ func TestSchedSnapshotLiveJob(t *testing.T) {
 // TestFlightOverheadSmoke is the CI overhead gate: with ADWS_BENCH_SMOKE=1
 // (set by scripts/check.sh) it measures the spawn-heavy tree with and
 // without the recorder and fails if the recorder-on run exceeds a
-// generous 1.5x budget — far above the ≤3% acceptance target measured
-// offline (results/flight_recorder.txt) but tight enough to catch an
-// accidental timestamp or allocation on the filtered path.
+// generous 1.5x budget — far above the recorder budget measured offline
+// (EXPERIMENTS.md) but tight enough to catch an accidental timestamp or
+// allocation on the filtered path.
 func TestFlightOverheadSmoke(t *testing.T) {
 	if os.Getenv("ADWS_BENCH_SMOKE") != "1" {
 		t.Skip("set ADWS_BENCH_SMOKE=1 to run the overhead smoke gate")

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	gort "runtime"
-
 	"github.com/parlab/adws/internal/sched"
 	"github.com/parlab/adws/internal/trace"
 )
@@ -174,47 +172,16 @@ func (tg *TaskGroup) Wait() {
 		w.execute(ec)
 	}
 
-	spins := 0
-	var searchStart int64
-	for g.remaining.Load() > 0 {
-		if t := w.findTask(g); t != nil {
-			if searchStart != 0 {
-				w.stats.waitIdleNS.Add(now() - searchStart)
-				searchStart = 0
-			}
-			spins = 0
-			w.execute(t)
-			continue
-		}
-		if searchStart == 0 {
-			searchStart = now()
-		}
-		spins++
-		if spins < parkSpins {
-			gort.Gosched()
-			continue
-		}
-		// Park until the group's last child completes or a push targets
-		// this worker; the recheck inside park closes the race where the
-		// completion landed between findTask and advertising.
-		spins = 0
-		if t := w.park(g); t != nil {
-			if searchStart != 0 {
-				w.stats.waitIdleNS.Add(now() - searchStart)
-				searchStart = 0
-			}
-			w.execute(t)
-		}
-	}
-	if searchStart != 0 {
-		w.stats.waitIdleNS.Add(now() - searchStart)
-	}
-	// A wakeup by the group's last completion resumes this continuation:
-	// that is the work the wake delivered, so it closes the wake-to-run
-	// span (a wake consumed by findTask was already closed in noteStart).
-	w.noteRunAfterWake()
+	w.schedule(g)
+	// One stamp closes the wait: its idle stretch, the wake-to-run span of
+	// a wakeup by the group's last completion (the continuation is the work
+	// that wake delivered), and the exit event.
+	ts := w.markIdleEnd()
 	if w.wantEv(trace.EvWaitExit, c.cur.sdepth) {
-		w.emit(trace.Event{Type: trace.EvWaitExit, Time: now(),
+		if ts == 0 {
+			ts = now()
+		}
+		w.emit(trace.Event{Type: trace.EvWaitExit, Time: ts,
 			Task: c.cur.seq, Job: c.cur.jobID(), Depth: int32(g.ChildDepth)}, c.cur.sdepth)
 	}
 

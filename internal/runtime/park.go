@@ -234,28 +234,23 @@ func (w *worker) park(g *taskGroup) *task {
 		p.parkCancel(w)
 		return t
 	}
+	// One stamp on each side of the block, shared by the park/wake events,
+	// the park histogram and the pending wake-to-run span.
+	parkAt := now()
 	if w.wantEv(trace.EvPark, 0) {
-		w.emit(trace.Event{Type: trace.EvPark, Time: now()}, 0)
+		w.emit(trace.Event{Type: trace.EvPark, Time: parkAt}, 0)
 	}
-	m := p.metrics
-	var parkStart int64
-	if m != nil {
-		// Blocking again makes any pending wake spurious: that wakeup never
-		// led to a task, so drop its wake-to-run measurement instead of
-		// recording a duration that ends in another park.
-		w.wakeAt = 0
-		parkStart = now()
-	}
+	// Blocking again makes any pending wake spurious: that wakeup never led
+	// to a task, so drop its wake-to-run measurement instead of recording a
+	// duration that ends in another park.
+	w.wakeAt = 0
 	w.stats.parks.Add(1)
 	<-w.parkCh
 	w.stats.wakes.Add(1)
-	if m != nil {
-		wokeAt := now()
-		m.Park.Record(w.id, wokeAt-parkStart)
-		w.wakeAt = wokeAt
-	}
+	w.wakeAt = now()
+	p.parkHist.Record(w.id, w.wakeAt-parkAt)
 	if w.wantEv(trace.EvWake, 0) {
-		w.emit(trace.Event{Type: trace.EvWake, Time: now()}, 0)
+		w.emit(trace.Event{Type: trace.EvWake, Time: w.wakeAt}, 0)
 	}
 	return nil
 }

@@ -5,10 +5,9 @@
 // flattening.
 //
 // The Go runtime's goroutine scheduler cannot be directed, so this package
-// bypasses it: a fixed pool of workers (one goroutine per simulated core,
-// optionally pinned to OS threads) runs its own scheduler loop over
-// per-entity task queues, exactly as MassiveThreads underlies the paper's
-// implementation. Continuation handling differs by necessity: Go cannot
+// bypasses it: a fixed pool of workers (one goroutine per simulated core)
+// runs its own scheduler loop over per-entity task queues, exactly as
+// MassiveThreads underlies the paper's implementation. Continuation handling differs by necessity: Go cannot
 // capture stack continuations, so task-group waits are blocking and the
 // waiting worker executes pending tasks (help-inside-wait); the paper's
 // observable ADWS invariants — left-to-right per-worker order, owner
@@ -25,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/obs"
 	"github.com/parlab/adws/internal/sched"
 	"github.com/parlab/adws/internal/topology"
@@ -76,17 +76,15 @@ type Config struct {
 	Policy Policy
 	// Seed drives victim selection.
 	Seed uint64
-	// PinThreads locks each worker goroutine to an OS thread.
-	PinThreads bool
 	// Tracer, if non-nil, receives per-worker scheduler events (task
 	// spans, steals, migrations, waits, multi-level boundary crossings).
 	// It must have at least as many rings as the pool has workers. A nil
 	// Tracer costs one pointer check per event site.
 	Tracer *trace.Tracer
-	// Metrics, if non-nil, receives park, steal-probe, and wake-to-run
-	// latencies. Its histograms must have at least one shard per worker.
-	// A nil Metrics costs one pointer check per site, like the Tracer.
-	Metrics *Metrics
+	// Registry receives the pool's latency families, one shard per worker:
+	// adws_park_seconds, adws_steal_attempt_seconds and
+	// adws_wake_to_run_seconds. Nil registers them on a private registry.
+	Registry *metrics.Registry
 	// Flight, if non-nil, is the always-on flight recorder: it receives
 	// the same events as the Tracer but filtered by its type mask and
 	// depth limit (obs.Recorder.Wants), checked BEFORE the event — and
@@ -97,15 +95,15 @@ type Config struct {
 
 // Pool is a running worker pool.
 type Pool struct {
-	cfg     Config
 	machine *topology.Machine
 	policy  Policy
 	// tracer is nil unless tracing was requested; every event site guards
 	// on that single pointer.
 	tracer *trace.Tracer
-	// metrics is nil unless latency recording was requested; same
-	// one-pointer-check contract as the tracer.
-	metrics *Metrics
+	// parkHist, probeHist and wakeHist record park → wake, one victim
+	// probe, and park wakeup → first task obtained (spurious wakes
+	// excluded), each worker into its own shard.
+	parkHist, probeHist, wakeHist *metrics.Histogram
 	// flight is nil unless a flight recorder was attached; obs.Recorder
 	// methods are nil-receiver-safe, so sites gate on flight.Wants alone.
 	flight *obs.Recorder
@@ -315,9 +313,19 @@ func NewPool(cfg Config) *Pool {
 	if cfg.Machine == nil {
 		cfg.Machine = topology.Flat(gort.GOMAXPROCS(0), 32<<20, 1<<20)
 	}
-	p := &Pool{cfg: cfg, machine: cfg.Machine, policy: cfg.Policy,
-		tracer: cfg.Tracer, metrics: cfg.Metrics, flight: cfg.Flight}
 	n := cfg.Machine.NumWorkers()
+	reg := cfg.Registry
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	p := &Pool{machine: cfg.Machine, policy: cfg.Policy, tracer: cfg.Tracer, flight: cfg.Flight,
+		parkHist: reg.Histogram("adws_park_seconds",
+			"Worker blocking-park duration, park to wake.", n),
+		probeHist: reg.Histogram("adws_steal_attempt_seconds",
+			"Latency of individual steal victim probes.", n),
+		wakeHist: reg.Histogram("adws_wake_to_run_seconds",
+			"Park wakeup to first task obtained (spurious wakes excluded).", n),
+	}
 	if p.tracer != nil && p.tracer.NumWorkers() < n {
 		panic(fmt.Sprintf("runtime: tracer has %d worker rings, pool needs %d",
 			p.tracer.NumWorkers(), n))
@@ -325,9 +333,6 @@ func NewPool(cfg Config) *Pool {
 	if p.flight != nil && p.flight.NumWorkers() < n {
 		panic(fmt.Sprintf("runtime: flight recorder has %d worker rings, pool needs %d",
 			p.flight.NumWorkers(), n))
-	}
-	if p.metrics != nil {
-		p.metrics.checkShards(n)
 	}
 	p.idleWords = make([]paddedWord, (n+63)/64)
 	p.workers = make([]*worker, n)
@@ -338,7 +343,10 @@ func NewPool(cfg Config) *Pool {
 	p.initTopology()
 	for _, w := range p.workers {
 		p.wg.Add(1)
-		go w.loop(cfg.PinThreads)
+		go func() {
+			defer p.wg.Done()
+			w.schedule(nil)
+		}()
 	}
 	return p
 }
@@ -594,9 +602,9 @@ type worker struct {
 	// ns), or 0 when not idle. Only the owning worker writes it.
 	idleSince int64
 	// wakeAt is the timestamp of the last park wakeup whose wake-to-run
-	// latency has not been recorded yet, or 0. Owner-only; cleared by
-	// noteRunAfterWake or by the next blocking park (a spurious wake must
-	// not pollute the histogram). Unused when pool.metrics is nil.
+	// latency has not been recorded yet, or 0. Owner-only; the wakeup's
+	// idle stretch records and clears it (markIdleEnd), the next blocking
+	// park drops it (a spurious wake must not pollute the histogram).
 	wakeAt int64
 }
 
@@ -610,43 +618,64 @@ func (w *worker) markIdleStart() {
 	}
 }
 
-// markIdleEnd closes an open idle stretch.
-func (w *worker) markIdleEnd() {
-	if w.idleSince != 0 {
-		w.stats.idleNS.Add(now() - w.idleSince)
-		w.idleSince = 0
+// markIdleEnd closes the open idle stretch, if any, and returns its
+// closing stamp (0 when none was open). The stretch is charged to
+// waitIdleNS inside a helping wait and to idleNS at top level; a park
+// wakeup pending in it closes its wake-to-run span at the same stamp.
+func (w *worker) markIdleEnd() int64 {
+	if w.idleSince == 0 {
+		return 0
+	}
+	ts := now()
+	if w.execDepth > 0 {
+		w.stats.waitIdleNS.Add(ts - w.idleSince)
+	} else {
+		w.stats.idleNS.Add(ts - w.idleSince)
+	}
+	w.idleSince = 0
+	if w.wakeAt != 0 {
+		w.pool.wakeHist.Record(w.id, ts-w.wakeAt)
+		w.wakeAt = 0
+	}
+	return ts
+}
+
+// schedule is the scheduler loop: find a task and run it, else spin,
+// yield, and park. g is the group a helping wait is blocked in; the loop
+// returns once g has no unfinished children, or at top level (g nil) once
+// the pool shuts down.
+func (w *worker) schedule(g *taskGroup) {
+	spins := 0
+	for w.pending(g) {
+		t := w.findTask(g)
+		if t == nil {
+			w.markIdleStart()
+			if spins++; spins < parkSpins {
+				gort.Gosched()
+				continue
+			}
+			// Park until a targeted wakeup (push, root submission, g's last
+			// completion, shutdown). No timeout: a fully idle pool blocks
+			// and burns zero CPU. The recheck inside park closes the race
+			// where work landed between findTask and advertising.
+			spins = 0
+			if t = w.park(g); t == nil {
+				continue
+			}
+		}
+		spins = 0
+		w.markIdleEnd()
+		w.execute(t)
 	}
 }
 
-func (w *worker) loop(pin bool) {
-	defer w.pool.wg.Done()
-	if pin {
-		gort.LockOSThread()
-		defer gort.UnlockOSThread()
+// pending reports whether schedule(g) keeps running: g has unfinished
+// children or, at top level, the pool is open.
+func (w *worker) pending(g *taskGroup) bool {
+	if g == nil {
+		return !w.pool.shutdown.Load()
 	}
-	p := w.pool
-	idleSpins := 0
-	for !p.shutdown.Load() {
-		if t := w.findTask(nil); t != nil {
-			idleSpins = 0
-			w.markIdleEnd()
-			w.execute(t)
-			continue
-		}
-		w.markIdleStart()
-		idleSpins++
-		if idleSpins < parkSpins {
-			gort.Gosched()
-			continue
-		}
-		// Park until a targeted wakeup (push, root submission, shutdown).
-		// No timeout: a fully idle pool blocks and burns zero CPU.
-		idleSpins = 0
-		if t := w.park(nil); t != nil {
-			w.markIdleEnd()
-			w.execute(t)
-		}
-	}
+	return g.remaining.Load() > 0
 }
 
 // wantEv reports whether an event of type t at filter depth fd should
@@ -677,15 +706,18 @@ func (w *worker) emit(ev trace.Event, fd int32) {
 	}
 }
 
-// execute runs one task to completion.
+// execute runs one task to completion. An outermost task reads the clock
+// twice, and its busy span and begin/end events share those stamps; a
+// task nested in a helping wait reads it only for its events.
 func (w *worker) execute(t *task) {
 	w.stats.tasks.Add(1)
 	if t.job != nil {
 		t.job.tasks.Add(1)
 	}
 	w.execDepth++
-	var start int64
-	if w.execDepth == 1 {
+	outer := w.execDepth == 1
+	var start, end int64
+	if outer {
 		start = now()
 		if j := t.jobID(); j != w.curJob.Load() {
 			w.curJob.Store(j)
@@ -693,18 +725,25 @@ func (w *worker) execute(t *task) {
 		}
 	}
 	if w.wantEv(trace.EvTaskBegin, t.sdepth) {
-		w.emit(trace.Event{Type: trace.EvTaskBegin, Time: now(),
+		if !outer {
+			start = now()
+		}
+		w.emit(trace.Event{Type: trace.EvTaskBegin, Time: start,
 			Task: t.seq, Job: t.jobID(), Depth: int32(t.depth),
 			RangeLo: t.rng.X, RangeHi: t.rng.Y}, t.sdepth)
 	}
 	c := &Ctx{pool: w.pool, w: w, cur: t}
 	t.fn(c)
-	if w.wantEv(trace.EvTaskEnd, t.sdepth) {
-		w.emit(trace.Event{Type: trace.EvTaskEnd, Time: now(),
-			Task: t.seq, Job: t.jobID(), Depth: int32(t.depth)}, t.sdepth)
+	if outer {
+		end = now()
+		w.stats.busyNS.Add(end - start)
 	}
-	if w.execDepth == 1 {
-		w.stats.busyNS.Add(now() - start)
+	if w.wantEv(trace.EvTaskEnd, t.sdepth) {
+		if !outer {
+			end = now()
+		}
+		w.emit(trace.Event{Type: trace.EvTaskEnd, Time: end,
+			Task: t.seq, Job: t.jobID(), Depth: int32(t.depth)}, t.sdepth)
 	}
 	w.execDepth--
 	w.pool.taskDone(t)

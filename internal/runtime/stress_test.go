@@ -195,13 +195,3 @@ func TestThreeLevelMachineRuntime(t *testing.T) {
 		t.Errorf("sum = %d, want %d", sum, want)
 	}
 }
-
-func TestPinnedThreads(t *testing.T) {
-	p := NewPool(Config{Machine: topology.Flat(4, 32<<20, 1<<20), Policy: ADWS, PinThreads: true})
-	defer p.Close()
-	var sum int64
-	p.Run(func(c *Ctx) { treeSum(c, 0, 10000, &sum, 0) })
-	if want := int64(10000) * 9999 / 2; sum != want {
-		t.Errorf("sum = %d, want %d", sum, want)
-	}
-}

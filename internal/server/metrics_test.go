@@ -6,17 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/runtime"
 	"github.com/parlab/adws/internal/topology"
 )
 
-// newMetricsServer builds a server with job-latency metrics enabled on a
-// fresh registry — the configuration the adws façade always uses.
-func newMetricsServer(t *testing.T, workers int, cfg Config) (*Server, *Metrics) {
+// newMetricsServer builds a server and returns it with its job-latency
+// and admission metrics.
+func newMetricsServer(t *testing.T, workers int, cfg Config) (*Server, *jobMetrics) {
 	t.Helper()
-	m := NewMetrics(metrics.NewRegistry())
-	cfg.Metrics = m
 	p := runtime.NewPool(runtime.Config{
 		Machine: topology.Flat(workers, 32<<20, 1<<20),
 		Policy:  runtime.ADWS,
@@ -25,7 +22,7 @@ func newMetricsServer(t *testing.T, workers int, cfg Config) (*Server, *Metrics)
 	t.Cleanup(p.Close)
 	s := New(p, cfg)
 	t.Cleanup(s.Close)
-	return s, m
+	return s, &s.metrics
 }
 
 // TestMetricsRecordJobLifecycle pins the three job-latency histograms:
@@ -43,7 +40,7 @@ func TestMetricsRecordJobLifecycle(t *testing.T) {
 		wait(t, j)
 	}
 
-	qw, sv, e2e := m.QueueWait.Snapshot(), m.Service.Snapshot(), m.E2E.Snapshot()
+	qw, sv, e2e := m.queueWait.Snapshot(), m.service.Snapshot(), m.e2e.Snapshot()
 	if qw.Count != jobs || sv.Count != jobs || e2e.Count != jobs {
 		t.Errorf("histogram counts queue_wait=%d service=%d e2e=%d, want %d each",
 			qw.Count, sv.Count, e2e.Count, jobs)
@@ -55,9 +52,9 @@ func TestMetricsRecordJobLifecycle(t *testing.T) {
 	if qw.Sum < 0 || sv.Sum <= 0 {
 		t.Errorf("non-positive spans: queue_wait sum %dns, service sum %dns", qw.Sum, sv.Sum)
 	}
-	if m.Rejected.Value() != 0 || m.Expired.Value() != 0 {
+	if m.rejected.Value() != 0 || m.expired.Value() != 0 {
 		t.Errorf("spurious failure counters: rejected=%d expired=%d",
-			m.Rejected.Value(), m.Expired.Value())
+			m.rejected.Value(), m.expired.Value())
 	}
 }
 
@@ -83,38 +80,21 @@ func TestMetricsRejectAndExpiry(t *testing.T) {
 	close(release)
 	wait(t, b)
 
-	if got := m.Rejected.Value(); got != 1 {
+	if got := m.rejected.Value(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
-	if got := m.Expired.Value(); got != 1 {
+	if got := m.expired.Value(); got != 1 {
 		t.Errorf("expired counter = %d, want 1", got)
 	}
 	// The blocker dispatched and completed; the expired job only counts
 	// end-to-end. The reject never became a job at all.
-	if got := m.Service.Snapshot().Count; got != 1 {
+	if got := m.service.Snapshot().Count; got != 1 {
 		t.Errorf("service count = %d, want 1 (only the dispatched job)", got)
 	}
-	if got := m.QueueWait.Snapshot().Count; got != 1 {
+	if got := m.queueWait.Snapshot().Count; got != 1 {
 		t.Errorf("queue-wait count = %d, want 1 (only the dispatched job)", got)
 	}
-	if got := m.E2E.Snapshot().Count; got != 2 {
+	if got := m.e2e.Snapshot().Count; got != 2 {
 		t.Errorf("e2e count = %d, want 2 (dispatched + expired)", got)
 	}
-}
-
-// TestMetricsCheckRejectsPartial pins the New-time validation of a
-// partially populated Metrics.
-func TestMetricsCheckRejectsPartial(t *testing.T) {
-	p := runtime.NewPool(runtime.Config{
-		Machine: topology.Flat(2, 32<<20, 1<<20),
-		Policy:  runtime.ADWS,
-		Seed:    1,
-	})
-	t.Cleanup(p.Close)
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted a Metrics with nil fields")
-		}
-	}()
-	New(p, Config{Metrics: &Metrics{}})
 }

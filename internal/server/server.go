@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/runtime"
 )
 
@@ -72,10 +73,10 @@ type Config struct {
 	// buckets (rate <= 0 disables limiting; burst <= 0 defaults to
 	// max(1, rate)). AdmitFIFO ignores them.
 	TenantRate, TenantBurst float64
-	// Metrics, if non-nil, receives per-job queue-wait, service, and
-	// end-to-end latencies plus admission reject / deadline-expiry counts
-	// (see Metrics). Nil disables recording at one pointer check per site.
-	Metrics *Metrics
+	// Registry receives the per-job queue-wait, service, and end-to-end
+	// latency families and the admission reject / deadline-expiry
+	// counters. Nil registers them on a private registry.
+	Registry *metrics.Registry
 }
 
 func (c Config) withDefaults(workers int) Config {
@@ -117,10 +118,9 @@ type classState struct {
 
 // Server serves concurrent jobs on one runtime pool.
 type Server struct {
-	pool *runtime.Pool
-	cfg  Config
-	// metrics is nil unless latency recording was requested.
-	metrics *Metrics
+	pool    *runtime.Pool
+	cfg     Config
+	metrics jobMetrics
 	// adm decides admission and, under AdmitSLO, dispatch order. Under
 	// AdmitFIFO it has no tenant limits and the queue head dispatches.
 	adm *PriorityAdmitter
@@ -144,10 +144,10 @@ type Server struct {
 // New creates a job server over pool. The server starts no goroutines
 // until jobs are submitted.
 func New(pool *runtime.Pool, cfg Config) *Server {
-	if cfg.Metrics != nil {
-		cfg.Metrics.check()
-	}
 	cfg = cfg.withDefaults(pool.NumWorkers())
+	if cfg.Registry == nil {
+		cfg.Registry = metrics.NewRegistry()
+	}
 	adm := NewPriorityAdmitter(DefaultClasses(), cfg.MaxInFlight, cfg.MaxQueue)
 	if cfg.AdmissionPolicy == AdmitSLO {
 		adm.TenantRate, adm.TenantBurst = cfg.TenantRate, cfg.TenantBurst
@@ -159,7 +159,7 @@ func New(pool *runtime.Pool, cfg Config) *Server {
 	return &Server{
 		pool:    pool,
 		cfg:     cfg,
-		metrics: cfg.Metrics,
+		metrics: newJobMetrics(cfg.Registry),
 		adm:     adm,
 		jobs:    make(map[int64]*Job),
 		classes: classes,
@@ -570,9 +570,6 @@ func (s *Server) OldestQueueAge() time.Duration {
 	}
 	return age
 }
-
-// Classes returns the priority-class list, highest priority first.
-func (s *Server) Classes() []string { return DefaultClasses() }
 
 // QueuedByClass returns the live queue depth per class (expired entries
 // reaped first). Classes with an empty queue are present with a zero.

@@ -6,7 +6,6 @@ import (
 
 	"github.com/parlab/adws/internal/metrics"
 	"github.com/parlab/adws/internal/obs"
-	"github.com/parlab/adws/internal/runtime"
 	"github.com/parlab/adws/internal/server"
 )
 
@@ -17,24 +16,6 @@ import (
 // end-to-end). Obtain a pool's registry with Pool.Metrics and render
 // with WriteText; see docs/METRICS.md for the metric catalogue.
 type MetricsRegistry = metrics.Registry
-
-// newPoolRegistry builds the registry and the runtime recording surface.
-// The runtime histograms must exist before the runtime pool (workers
-// record into per-worker shards from their first park), so this runs
-// first and registerPoolMetrics completes the wiring once the pool and
-// server objects exist.
-func newPoolRegistry(workers int) (*metrics.Registry, *runtime.Metrics) {
-	reg := metrics.NewRegistry()
-	rtm := &runtime.Metrics{
-		Park: reg.Histogram("adws_park_seconds",
-			"Worker blocking-park duration, park to wake.", workers),
-		StealAttempt: reg.Histogram("adws_steal_attempt_seconds",
-			"Latency of individual steal victim probes.", workers),
-		WakeToRun: reg.Histogram("adws_wake_to_run_seconds",
-			"Park wakeup to first task obtained (spurious wakes excluded).", workers),
-	}
-	return reg, rtm
-}
 
 // registerPoolMetrics registers the render-time families: every metric
 // name the daemon's hand-rolled /metrics used to emit (kept stable), the
@@ -140,7 +121,7 @@ func registerPoolMetrics(reg *metrics.Registry, p *Pool) {
 	// Per-priority-class breakdown. The class list is fixed at pool
 	// creation, so the label sets are stable across renders; the Jain
 	// gauge omits classes without completed jobs.
-	classes := p.srv.Classes()
+	classes := server.DefaultClasses()
 	reg.GaugeMultiFunc("adws_jobs_queued_by_class",
 		"Jobs waiting in the admission queue, by priority class.",
 		func() []metrics.MultiLabeled {

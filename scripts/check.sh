@@ -32,8 +32,8 @@
 #   7. ADWS_BENCH_SMOKE=1 timing gates (internal/runtime, internal/kernels)
 #      TestFlightOverheadSmoke measures the spawn-heavy tree with and
 #      without the always-on flight recorder and fails if the recorder-on
-#      run exceeds a generous 1.5x budget; the precise <=3% acceptance
-#      numbers live in results/flight_recorder.txt.
+#      run exceeds a generous 1.5x budget; the measured recorder cost is
+#      in EXPERIMENTS.md ("Always-on flight recorder").
 #      TestLocalSpawnRatioSmoke measures the same tree at one worker under
 #      WS and ADWS in alternating rounds and fails if the median per-round
 #      ADWS : WS ratio exceeds 1.10: the headline ratio, which worker-local
