@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/parlab/adws/internal/sched"
@@ -79,28 +78,94 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-type event struct {
-	t float64
-	// gseq is a global sequence number for deterministic tie-breaking.
+// eventQueue is an indexed binary min-heap of the workers that have a
+// pending event, ordered by (eventTime, eventGseq). Each worker has at
+// most one event, so rescheduling moves the worker within the heap and
+// the heap never holds more than P entries. gseq is a global sequence
+// number for deterministic tie-breaking: a rescheduled event sorts after
+// every event already pending at the same time.
+type eventQueue struct {
+	h    []*worker
 	gseq int64
-	// wseq is the owning worker's eventSeq at scheduling time; a mismatch
-	// at pop time means the event was superseded.
-	wseq int64
-	w    int
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func eventBefore(a, b *worker) bool {
+	if a.eventTime != b.eventTime {
+		return a.eventTime < b.eventTime
 	}
-	return h[i].gseq < h[j].gseq
+	return a.eventGseq < b.eventGseq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
+
+// schedule (re)schedules worker w's next event at time t, superseding any
+// pending one.
+func (q *eventQueue) schedule(w *worker, t float64) {
+	q.gseq++
+	w.eventTime, w.eventGseq = t, q.gseq
+	if w.qpos < 0 {
+		w.qpos = len(q.h)
+		q.h = append(q.h, w)
+		q.up(w.qpos)
+		return
+	}
+	if !q.up(w.qpos) {
+		q.down(w.qpos)
+	}
+}
+
+// pop removes and returns the worker with the earliest event; the queue
+// must not be empty.
+func (q *eventQueue) pop() *worker {
+	w := q.h[0]
+	n := len(q.h) - 1
+	q.h[0] = q.h[n]
+	q.h[n] = nil
+	q.h = q.h[:n]
+	if n > 0 {
+		q.down(0)
+	}
+	w.qpos = -1
+	return w
+}
+
+// up sifts the worker at position i towards the root and reports whether
+// it moved.
+func (q *eventQueue) up(i int) bool {
+	h, w, start := q.h, q.h[i], i
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventBefore(w, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].qpos = i
+		i = p
+	}
+	h[i] = w
+	w.qpos = i
+	return i != start
+}
+
+// down sifts the worker at position i towards the leaves.
+func (q *eventQueue) down(i int) {
+	h, w := q.h, q.h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && eventBefore(h[r], h[c]) {
+			c = r
+		}
+		if !eventBefore(h[c], w) {
+			break
+		}
+		h[i] = h[c]
+		h[i].qpos = i
+		i = c
+	}
+	h[i] = w
+	w.qpos = i
+}
 
 type worker struct {
 	id  int
@@ -109,11 +174,11 @@ type worker struct {
 	current *Task
 	resume  []*Task // LIFO resume stack (returned continuations)
 
-	// Event bookkeeping: each worker has at most one live event; eventSeq
-	// invalidates superseded ones.
-	eventSeq  int64
+	// The worker's one pending event, ordered by (eventTime, eventGseq);
+	// qpos is its position in the engine's eventQueue, -1 when it has none.
 	eventTime float64
-	hasEvent  bool
+	eventGseq int64
+	qpos      int
 
 	idle      bool
 	idleStart float64
@@ -127,6 +192,9 @@ type worker struct {
 
 	// fdEnts are the worker's entities in flattened domains, newest last.
 	fdEnts []*entity
+	// led backs candidates' result when the worker acts only for the
+	// entity of the cache it leads.
+	led [1]*entity
 
 	// Space-bounded state.
 	sbQueue sched.QueueSet[*Task]
@@ -141,8 +209,7 @@ type Engine struct {
 	hier    *Hierarchy
 
 	workers []*worker
-	events  eventHeap
-	evSeq   int64
+	events  eventQueue
 	now     float64
 
 	// mlCaches[level][index] mirrors the machine's cache tree; lead records
@@ -164,6 +231,9 @@ type Engine struct {
 
 	// ties and flattens count the multi-level decisions of the current run.
 	ties, flattens int64
+
+	// b is the builder every task's Body is run with.
+	b B
 }
 
 // NewEngine prepares a simulation. The same engine can Run multiple root
@@ -196,7 +266,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e.workers = make([]*worker, p)
 	for i := 0; i < p; i++ {
-		e.workers[i] = &worker{id: i, rng: sched.NewRNG(cfg.Seed, i)}
+		e.workers[i] = &worker{id: i, rng: sched.NewRNG(cfg.Seed, i), qpos: -1}
 	}
 	e.buildMLCaches()
 	if cfg.Mode == SB {
@@ -268,25 +338,15 @@ func (e *Engine) newTask(body Body, work float64) *Task {
 	return &Task{id: e.taskSeq, body: body, workHint: work, execWorker: -1}
 }
 
-// schedule (re)schedules worker w's next event at time t, superseding any
-// previously scheduled event.
-func (e *Engine) schedule(w *worker, t float64) {
-	w.eventSeq++
-	w.eventTime = t
-	w.hasEvent = true
-	e.evSeq++
-	heap.Push(&e.events, event{t: t, gseq: e.evSeq, wseq: w.eventSeq, w: w.id})
-}
-
 // wake brings an idle worker's pending poll forward to time t.
 func (e *Engine) wake(w *worker, t float64) {
 	if e.done || w.current != nil {
 		return
 	}
-	if w.hasEvent && w.eventTime <= t {
+	if w.qpos >= 0 && w.eventTime <= t {
 		return
 	}
-	e.schedule(w, t)
+	e.events.schedule(w, t)
 }
 
 // Run executes one root body to completion and returns the result. Cache
@@ -311,14 +371,9 @@ func (e *Engine) Run(root Body) RunResult {
 		e.wake(e.workers[aw], e.now)
 	}
 
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
-		w := e.workers[ev.w]
-		if !w.hasEvent || ev.wseq != w.eventSeq {
-			continue // superseded
-		}
-		w.hasEvent = false
-		e.now = ev.t
+	for len(e.events.h) > 0 {
+		w := e.events.pop()
+		e.now = w.eventTime
 		if e.done {
 			continue
 		}
@@ -365,11 +420,11 @@ func (e *Engine) step(w *worker) {
 				Task: e.ordinal(t), Depth: int32(t.depth),
 				RangeLo: t.rng.X, RangeHi: t.rng.Y})
 		}
-		b := &B{}
+		e.b.steps = nil
 		if t.body != nil {
-			t.body(b)
+			t.body(&e.b)
 		}
-		t.steps = b.steps
+		t.steps = e.b.steps
 		t.built = true
 	}
 	if t.next >= len(t.steps) {
@@ -378,16 +433,13 @@ func (e *Engine) step(w *worker) {
 	}
 	st := t.steps[t.next]
 	t.next++
-	switch {
-	case st.compute != nil:
-		cost := st.compute.work + e.hier.AccessRange(w.id, st.compute.accesses)
-		w.busyTime += cost
-		e.schedule(w, e.now+cost)
-	case st.group != nil:
+	if st.group != nil {
 		e.fork(w, t, st.group)
-	default:
-		e.schedule(w, e.now)
+		return
 	}
+	cost := st.work + e.hier.AccessRange(w.id, st.accesses)
+	w.busyTime += cost
+	e.events.schedule(w, e.now+cost)
 }
 
 // complete finishes task t on worker w and propagates group completion.
@@ -416,7 +468,7 @@ func (e *Engine) complete(w *worker, t *Task) {
 	if ag.remaining == 0 {
 		e.groupComplete(ag)
 	}
-	e.schedule(w, e.now)
+	e.events.schedule(w, e.now)
 }
 
 // groupComplete handles the completion of all children of a task group:

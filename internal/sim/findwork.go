@@ -5,7 +5,7 @@ import (
 	"github.com/parlab/adws/internal/trace"
 )
 
-// maxBackoffPolls bounds the exponential idle backoff to IdlePoll << 6.
+// maxBackoffFactor bounds the exponential idle backoff to IdlePoll × 8.
 const maxBackoffFactor = 8
 
 // findWork is the scheduler loop body of an idle worker (paper Fig. 11,
@@ -48,10 +48,11 @@ func (e *Engine) findWork(w *worker) {
 
 // candidates returns the entities worker w may act for, in priority order
 // (sched.ActingOrder): live flattened-domain entities, then the entity of
-// the cache the worker currently leads.
+// the cache the worker currently leads. The result is valid until the
+// next call; an idle poll with nothing flattened allocates nothing.
 func (e *Engine) candidates(w *worker) []*entity {
 	if !e.cfg.Mode.IsMultiLevel() {
-		return []*entity{e.rootDom.entities[w.id]}
+		return e.rootDom.entities[w.id : w.id+1 : w.id+1]
 	}
 	// Prune closed flattened domains in place.
 	live := w.fdEnts[:0]
@@ -65,9 +66,11 @@ func (e *Engine) candidates(w *worker) []*entity {
 	if !alsoLed {
 		return out
 	}
+	// alsoLed means nothing is flattened, so out is empty.
 	if c := e.lead.Leads(w.id); c != nil {
 		if ent := e.mlCaches[c.Level][c.Index].entity; ent != nil && !ent.dom.closed {
-			out = append(out, ent)
+			w.led[0] = ent
+			return w.led[:]
 		}
 	}
 	return out
@@ -171,7 +174,7 @@ func (e *Engine) startTask(w *worker, t *Task, ent *entity, searched, oh float64
 		}
 	}
 	w.current = t
-	e.schedule(w, ts)
+	e.events.schedule(w, ts)
 }
 
 // goIdle records the transition to idleness and schedules a backoff poll.
@@ -185,5 +188,5 @@ func (e *Engine) goIdle(w *worker, searched float64) {
 	} else if w.backoff < e.costs.IdlePoll*maxBackoffFactor {
 		w.backoff *= 2
 	}
-	e.schedule(w, e.now+searched+w.backoff)
+	e.events.schedule(w, e.now+searched+w.backoff)
 }

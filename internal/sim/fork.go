@@ -25,7 +25,7 @@ func (e *Engine) traceBoundary(worker int, kind int32, d *domain, level int) {
 // domain's policy, and either suspends t or starts an inline child.
 func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 	if len(spec.Children) == 0 {
-		e.schedule(w, e.now)
+		e.events.schedule(w, e.now)
 		return
 	}
 	if e.cfg.Mode == SB {
@@ -73,7 +73,7 @@ func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 		w.current = nil
 	}
 	e.wakeDomain(dom)
-	e.schedule(w, e.now+oh)
+	e.events.schedule(w, e.now+oh)
 }
 
 // spawnADWS implements deterministic task mapping (paper Fig. 7): split the

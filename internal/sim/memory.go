@@ -152,16 +152,19 @@ func Pass(s Segment, n int) AccessSpec { return AccessSpec{Seg: s, Passes: n} }
 // a capacity in chunks.
 type CacheSet struct {
 	cap int
-	// order implements LRU via a doubly-linked list over chunk nodes
-	// stored in a map.
-	pos  map[Chunk]*lruNode
-	head *lruNode // most recently used
-	tail *lruNode // least recently used
+	// pos maps each resident chunk to its node in nodes, a slab of at most
+	// cap entries doubly linked by index in recency order. Nothing in it
+	// is a pointer, so the garbage collector never scans a cache, and a
+	// miss on a full set reuses the evicted chunk's node.
+	pos   map[Chunk]int32
+	nodes []lruNode
+	head  int32 // most recently used, -1 when empty
+	tail  int32 // least recently used, -1 when empty
 }
 
 type lruNode struct {
 	c          Chunk
-	prev, next *lruNode
+	prev, next int32
 }
 
 // NewCacheSet creates an LRU cache holding capacityBytes worth of chunks
@@ -171,7 +174,8 @@ func NewCacheSet(capacityBytes int64) *CacheSet {
 	if n < 1 {
 		n = 1
 	}
-	return &CacheSet{cap: n, pos: make(map[Chunk]*lruNode, n+1)}
+	return &CacheSet{cap: n, pos: make(map[Chunk]int32, n), nodes: make([]lruNode, 0, n),
+		head: -1, tail: -1}
 }
 
 // Capacity returns the capacity in chunks.
@@ -186,28 +190,29 @@ func (cs *CacheSet) Contains(c Chunk) bool {
 	return ok
 }
 
-func (cs *CacheSet) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (cs *CacheSet) unlink(i int32) {
+	n := &cs.nodes[i]
+	if n.prev >= 0 {
+		cs.nodes[n.prev].next = n.next
 	} else {
 		cs.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next >= 0 {
+		cs.nodes[n.next].prev = n.prev
 	} else {
 		cs.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (cs *CacheSet) pushFront(n *lruNode) {
-	n.next = cs.head
-	if cs.head != nil {
-		cs.head.prev = n
+func (cs *CacheSet) pushFront(i int32) {
+	n := &cs.nodes[i]
+	n.prev, n.next = -1, cs.head
+	if cs.head >= 0 {
+		cs.nodes[cs.head].prev = i
 	}
-	cs.head = n
-	if cs.tail == nil {
-		cs.tail = n
+	cs.head = i
+	if cs.tail < 0 {
+		cs.tail = i
 	}
 }
 
@@ -215,28 +220,33 @@ func (cs *CacheSet) pushFront(n *lruNode) {
 // or false on a miss, in which case c is installed, possibly evicting the
 // least recently used chunk.
 func (cs *CacheSet) Touch(c Chunk) bool {
-	if n, ok := cs.pos[c]; ok {
-		if cs.head != n {
-			cs.unlink(n)
-			cs.pushFront(n)
+	if i, ok := cs.pos[c]; ok {
+		if cs.head != i {
+			cs.unlink(i)
+			cs.pushFront(i)
 		}
 		return true
 	}
+	var i int32
 	if len(cs.pos) >= cs.cap {
-		lru := cs.tail
-		cs.unlink(lru)
-		delete(cs.pos, lru.c)
+		i = cs.tail
+		cs.unlink(i)
+		delete(cs.pos, cs.nodes[i].c)
+	} else {
+		i = int32(len(cs.nodes))
+		cs.nodes = append(cs.nodes, lruNode{})
 	}
-	n := &lruNode{c: c}
-	cs.pos[c] = n
-	cs.pushFront(n)
+	cs.nodes[i].c = c
+	cs.pos[c] = i
+	cs.pushFront(i)
 	return false
 }
 
 // Flush empties the cache.
 func (cs *CacheSet) Flush() {
-	cs.pos = make(map[Chunk]*lruNode, cs.cap+1)
-	cs.head, cs.tail = nil, nil
+	clear(cs.pos)
+	cs.nodes = cs.nodes[:0]
+	cs.head, cs.tail = -1, -1
 }
 
 // Hierarchy is the full simulated cache hierarchy: one CacheSet per cache

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,28 +113,60 @@ func TestCacheSetLRU(t *testing.T) {
 	}
 }
 
-// Property: a CacheSet never exceeds its capacity and a touch of a resident
-// chunk always hits.
+// sliceLRU is the naive reference for CacheSet: resident chunks, most
+// recently used first.
+type sliceLRU struct {
+	cap    int
+	chunks []Chunk
+}
+
+func (l *sliceLRU) touch(c Chunk) bool {
+	for i, x := range l.chunks {
+		if x == c {
+			copy(l.chunks[1:i+1], l.chunks[:i])
+			l.chunks[0] = c
+			return true
+		}
+	}
+	if len(l.chunks) == l.cap {
+		l.chunks = l.chunks[:l.cap-1]
+	}
+	l.chunks = append([]Chunk{c}, l.chunks...)
+	return false
+}
+
+// Property: a CacheSet of any capacity agrees with the naive slice LRU on
+// every hit and miss, on Len and on residency, across Flushes; it never
+// exceeds its capacity and a touch of a resident chunk always hits.
 func TestCacheSetProperty(t *testing.T) {
-	f := func(touches []uint8) bool {
-		cs := NewCacheSet(4 * ChunkSize)
+	f := func(capSel uint8, touches []uint8) bool {
+		n := int(capSel%8) + 1
+		cs := NewCacheSet(int64(n) * ChunkSize)
+		ref := &sliceLRU{cap: n}
 		for _, c := range touches {
+			if c >= 240 {
+				cs.Flush()
+				ref.chunks = ref.chunks[:0]
+				continue
+			}
 			ch := Chunk(c % 16)
 			resident := cs.Contains(ch)
 			hit := cs.Touch(ch)
-			if hit != resident {
+			if hit != resident || hit != ref.touch(ch) {
 				return false
 			}
-			if cs.Len() > 4 {
+			if cs.Len() != len(ref.chunks) || cs.Len() > n || !cs.Contains(ch) {
 				return false
 			}
-			if !cs.Contains(ch) {
+		}
+		for c := Chunk(0); c < 16; c++ {
+			if cs.Contains(c) != slices.Contains(ref.chunks, c) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

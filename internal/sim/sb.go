@@ -108,7 +108,7 @@ func (e *Engine) forkSB(w *worker, t *Task, spec *GroupSpec) {
 		w.current = nil
 	}
 	e.sbWakeAll()
-	e.schedule(w, e.now+oh)
+	e.events.schedule(w, e.now+oh)
 }
 
 // sbPlace runs the anchoring decision for task t on behalf of worker w.

@@ -36,13 +36,12 @@ func RunSerial(m *topology.Machine, costs CostModel, numa NUMAPolicy, reps int, 
 			b(bb)
 		}
 		for _, st := range bb.steps {
-			switch {
-			case st.compute != nil:
-				total += st.compute.work + hier.AccessRange(0, st.compute.accesses)
-			case st.group != nil:
-				for _, c := range st.group.Children {
-					exec(c.Body)
-				}
+			if st.group == nil {
+				total += st.work + hier.AccessRange(0, st.accesses)
+				continue
+			}
+			for _, c := range st.group.Children {
+				exec(c.Body)
 			}
 		}
 	}

@@ -6,11 +6,12 @@ import (
 )
 
 // Body is the code of a simulated task. When the task starts, its Body is
-// invoked once with a builder and declares, in order, the sequence of
-// compute steps and task-group (fork-join) steps the task performs. The
-// shape may depend on deterministic pseudo-data decided inside the Body,
-// but not on the results of child tasks — which matches all the paper's
-// benchmarks, whose control flow is fixed once the input is fixed.
+// invoked once with a builder, valid only during the call, and declares,
+// in order, the sequence of compute steps and task-group (fork-join)
+// steps the task performs. The shape may depend on deterministic
+// pseudo-data decided inside the Body, but not on the results of child
+// tasks — which matches all the paper's benchmarks, whose control flow is
+// fixed once the input is fixed.
 type Body func(b *B)
 
 // B builds the step list of one task.
@@ -18,14 +19,10 @@ type B struct {
 	steps []step
 }
 
-// step is one unit of a task's execution: exactly one of compute or group
-// is set.
+// step is one unit of a task's execution: a task group if group is set,
+// else a compute step.
 type step struct {
-	compute *computeStep
-	group   *GroupSpec
-}
-
-type computeStep struct {
+	group    *GroupSpec
 	work     float64 // pure compute cost, in virtual time units
 	accesses []AccessSpec
 }
@@ -33,7 +30,7 @@ type computeStep struct {
 // Compute declares a sequential compute step costing `work` virtual-time
 // units of pure computation plus the memory cost of the given accesses.
 func (b *B) Compute(work float64, accesses ...AccessSpec) {
-	b.steps = append(b.steps, step{compute: &computeStep{work: work, accesses: accesses}})
+	b.steps = append(b.steps, step{work: work, accesses: accesses})
 }
 
 // Fork declares a task group: all children are spawned, and the task
