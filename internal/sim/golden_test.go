@@ -23,11 +23,13 @@ type allFields sim.RunResult
 // TestGoldenRunResults pins every scheduling decision the simulator makes:
 // the whole RunResult (time, busy/idle/overhead, misses, remote accesses,
 // steals, attempts, migrations, tasks, ties, flattens) of a cold and a
-// warm run for 5 modes × 2 machines × 3 benchmarks × 2 seeds must equal
-// the committed file exactly. Floats are printed in their shortest
-// round-tripping form, so equal text means equal bits. The file was
-// generated before the scheduler core moved into internal/sched; a
-// refactor that holds decisions fixed never needs -update.
+// warm run for 5 modes × 2 machines × every registered benchmark × 2 seeds
+// must equal the committed file exactly. Floats are printed in their
+// shortest round-tripping form, so equal text means equal bits. The
+// quicksort, matmul and heat2d lines were generated before the scheduler
+// core moved into internal/sched, the other benchmarks' lines before their
+// task-graph builders were merged; a refactor that holds decisions fixed
+// never needs -update.
 func TestGoldenRunResults(t *testing.T) {
 	machines := []struct {
 		name string
@@ -39,11 +41,8 @@ func TestGoldenRunResults(t *testing.T) {
 	var b strings.Builder
 	for _, mc := range machines {
 		bytes := mc.m.AggregateCapacity(1) / 4
-		for _, bench := range []string{"quicksort", "matmul", "heat2d"} {
-			build, ok := workload.ByName(bench)
-			if !ok {
-				t.Fatalf("no workload %q", bench)
-			}
+		for _, w := range workload.Registry {
+			bench, build := w.Name, w.Build
 			for _, seed := range []uint64{1, 2} {
 				inst := build(bytes, seed)
 				for _, mode := range sim.Modes {
