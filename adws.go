@@ -269,10 +269,10 @@ func WithTracing(eventsPerWorker int) Option {
 // in events. The recorder is ON BY DEFAULT (capacity 4096 per worker);
 // this option only resizes it. A negative capacity disables the recorder
 // entirely — the watchdog then still counts triggers but dumps nothing.
-// Unlike WithTracing the recorder keeps only shallow task spans (group
-// depth <= 1) plus every steal, migration, park, wake, and boundary
-// event, which is what keeps its always-on cost near the nil-tracer
-// floor. See docs/OBSERVABILITY.md.
+// Unlike WithTracing the recorder keeps only shallow task spans (spawn
+// depth <= obs.DefaultDepthLimit) plus every steal, migration, park,
+// wake, and boundary event, which is what keeps its always-on cost near
+// the nil-tracer floor. See docs/OBSERVABILITY.md.
 func WithFlightRecorder(eventsPerWorker int) Option {
 	return func(c *config) { c.frCap = eventsPerWorker }
 }

@@ -20,6 +20,8 @@ type Config struct {
 	// MaxDepth bounds the tree depth (the paper uses 17 for HIGGS).
 	MaxDepth int
 	// CutoffRows is the serial-recursion cutoff (paper: 64 KB of rows).
+	// A node at or below it is grown without the pool, so it must not
+	// exceed LoopCutoffRows; Train clamps it.
 	CutoffRows int
 	// LoopCutoffRows is the parallel-loop/partition leaf size (paper:
 	// 256 KB of rows).
@@ -109,6 +111,7 @@ func Train(pool *adws.Pool, ds *dataset.Dataset, rows []int32, cfg Config) *Tree
 	if cfg.MaxDepth <= 0 {
 		cfg = DefaultConfig()
 	}
+	cfg.CutoffRows = min(cfg.CutoffRows, cfg.LoopCutoffRows)
 	tr := &trainer{cfg: cfg, ds: ds, pool: pool, rowBytes: int64(ds.Attrs) * 8}
 	tr.attrBounds = make([][2]float64, ds.Attrs)
 	for a := 0; a < ds.Attrs; a++ {
@@ -136,8 +139,7 @@ func (tr *trainer) build(c *adws.Ctx, rows, buf []int32, depth int, nodes *int) 
 		return n
 	}
 	if len(rows) <= tr.cfg.CutoffRows {
-		tr.split(n, rows, buf, depth, nodes, nil)
-		return n
+		c = nil
 	}
 	tr.split(n, rows, buf, depth, nodes, c)
 	return n
@@ -149,25 +151,15 @@ func (tr *trainer) done(rows []int32, depth int, prob float64) bool {
 		prob == 0 || prob == 1
 }
 
-// split grows node n over rows; with a nil Ctx everything runs serially.
+// split grows node n over rows; with a nil Ctx everything runs serially:
+// a node of at most CutoffRows <= LoopCutoffRows rows builds its
+// histograms and partitions its rows inline.
 func (tr *trainer) split(n *Node, rows, buf []int32, depth int, nodes *int, c *adws.Ctx) {
-	var attr int
-	var thr float64
-	var ok bool
-	if c != nil {
-		attr, thr, ok = tr.bestSplit(c, rows)
-	} else {
-		attr, thr, ok = tr.bestSplitSerial(rows)
-	}
+	attr, thr, ok := tr.bestSplit(c, rows)
 	if !ok {
 		return
 	}
-	var nl int
-	if c != nil {
-		nl = tr.partition(c, rows, buf, attr, thr)
-	} else {
-		nl = partitionSerial(tr.ds, rows, buf, attr, thr)
-	}
+	nl := tr.partition(c, rows, buf, attr, thr)
 	if nl < tr.cfg.MinLeaf || len(rows)-nl < tr.cfg.MinLeaf {
 		return
 	}
@@ -183,10 +175,7 @@ func (tr *trainer) split(n *Node, rows, buf []int32, depth int, nodes *int, c *a
 	}
 	var left, right *Node
 	var lN, rN int
-	g := c.Group(adws.GroupHint{
-		Work: float64(len(rows)),
-		Size: int64(len(rows)) * tr.rowBytes,
-	})
+	g := c.Group(tr.hint(len(rows)))
 	g.Spawn(float64(nl), func(c *adws.Ctx) {
 		left = tr.build(c, lRows, lBuf, depth+1, &lN)
 	})
@@ -196,6 +185,11 @@ func (tr *trainer) split(n *Node, rows, buf []int32, depth int, nodes *int, c *a
 	g.Wait()
 	*nodes += lN + rN
 	n.Left, n.Right = left, right
+}
+
+// hint is the work and working-set hint of a task group over n rows.
+func (tr *trainer) hint(n int) adws.GroupHint {
+	return adws.GroupHint{Work: float64(n), Size: int64(n) * tr.rowBytes}
 }
 
 func (tr *trainer) classProb(rows []int32) float64 {

@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/parlab/adws"
@@ -46,22 +47,22 @@ func TestTrainAccuracyBeatsChance(t *testing.T) {
 
 func TestSchedulersAgreeOnTree(t *testing.T) {
 	// Training is deterministic given the dataset, so every scheduler must
-	// produce the same tree (same accuracy, same node count) — the
-	// almost-deterministic scheduling must not leak into results.
+	// produce the same tree — the almost-deterministic scheduling must not
+	// leak into results. So must a recursion cutoff above the loop cutoff,
+	// which Train clamps: unclamped, a serial node would need the pool.
 	ds := dataset.Synthetic(8000, 12, 3)
 	train, test := ds.Split(2000)
-	var accs []float64
-	var nodes []int
+	var trees []*Tree
 	for _, s := range []adws.Scheduler{adws.WorkStealing, adws.ADWS, adws.MultiLevelWS, adws.MultiLevelADWS} {
-		p := testPool(t, s)
-		tree := Train(p, ds, train, smallConfig())
-		accs = append(accs, tree.Accuracy(ds, test))
-		nodes = append(nodes, tree.Nodes)
+		trees = append(trees, Train(testPool(t, s), ds, train, smallConfig()))
 	}
-	for i := 1; i < len(accs); i++ {
-		if accs[i] != accs[0] || nodes[i] != nodes[0] {
-			t.Errorf("scheduler %d: acc/nodes = %.4f/%d, want %.4f/%d",
-				i, accs[i], nodes[i], accs[0], nodes[0])
+	big := smallConfig()
+	big.CutoffRows = 2 * big.LoopCutoffRows
+	trees = append(trees, Train(testPool(t, adws.ADWS), ds, train, big))
+	for i, tree := range trees[1:] {
+		if !reflect.DeepEqual(tree, trees[0]) {
+			t.Errorf("run %d: acc/nodes = %.4f/%d, want the tree of %.4f/%d",
+				i+1, tree.Accuracy(ds, test), tree.Nodes, trees[0].Accuracy(ds, test), trees[0].Nodes)
 		}
 	}
 }
@@ -72,8 +73,19 @@ func TestPartitionParallelMatchesSerial(t *testing.T) {
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	bufS := make([]int32, len(rows))
-	nlS := partitionSerial(ds, rows, bufS, 2, 0.1)
+	// Serial reference: left rows, then right rows, each in input order.
+	var bufS []int32
+	nlS := 0
+	for _, left := range []bool{true, false} {
+		for _, r := range rows {
+			if (ds.Values[2][r] < 0.1) == left {
+				bufS = append(bufS, r)
+			}
+		}
+		if left {
+			nlS = len(bufS)
+		}
+	}
 
 	p := testPool(t, adws.ADWS)
 	tr := &trainer{cfg: smallConfig(), ds: ds, rowBytes: int64(ds.Attrs) * 8}

@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"github.com/parlab/adws"
-	"github.com/parlab/adws/internal/dataset"
+	"github.com/parlab/adws/internal/kernels"
 )
 
 // hist is a per-class histogram of one attribute over one node's rows.
@@ -107,6 +107,8 @@ func (tr *trainer) attrRange(attr int) (lo, hi float64) {
 // bestSplit finds the best (attribute, threshold) for a node by building
 // per-attribute histograms with parallel reductions — the paper's
 // COMPUTEBESTSPLIT as consecutive flat parallel loops (Fig. 1 line 2–5).
+// A node of at most LoopCutoffRows rows builds them inline, so c may then
+// be nil.
 func (tr *trainer) bestSplit(c *adws.Ctx, rows []int32) (attr int, thr float64, ok bool) {
 	bestG := math.Inf(1)
 	for a := 0; a < tr.ds.Attrs; a++ {
@@ -134,10 +136,7 @@ func (tr *trainer) parallelHist(c *adws.Ctx, rows []int32, a int) *hist {
 		}
 		mid := len(rows) / 2
 		var hl, hr *hist
-		g := c.Group(adws.GroupHint{
-			Work: float64(len(rows)),
-			Size: int64(len(rows)) * tr.rowBytes,
-		})
+		g := c.Group(tr.hint(len(rows)))
 		g.Spawn(float64(mid), func(c *adws.Ctx) { hl = rec(c, rows[:mid]) })
 		g.Spawn(float64(len(rows)-mid), func(c *adws.Ctx) { hr = rec(c, rows[mid:]) })
 		g.Wait()
@@ -147,116 +146,29 @@ func (tr *trainer) parallelHist(c *adws.Ctx, rows []int32, a int) *hist {
 	return rec(c, rows)
 }
 
-// bestSplitSerial is the sub-cutoff serial variant.
-func (tr *trainer) bestSplitSerial(rows []int32) (attr int, thr float64, ok bool) {
-	bestG := math.Inf(1)
-	for a := 0; a < tr.ds.Attrs; a++ {
-		lo, hi := tr.attrBounds[a][0], tr.attrBounds[a][1]
-		h := newHist(tr.cfg.Bins, lo, hi)
-		col := tr.ds.Values[a]
-		for _, r := range rows {
-			h.add(col[r], tr.ds.Labels[r])
-		}
-		if t, g, o := h.bestThreshold(); o && g < bestG {
-			bestG, attr, thr, ok = g, a, t, true
-		}
-	}
-	return attr, thr, ok
-}
-
-// partition stably partitions rows by (attr < thr) into buf using double
-// buffering: a parallel counting pass, a serial prefix sum over blocks,
-// and a parallel scatter pass (the paper's PARTITION, Fig. 1 line 7).
-// It returns the number of rows in the left partition.
+// partition stably partitions rows by (attr < thr) into buf in blocks of
+// LoopCutoffRows rows (the paper's PARTITION, Fig. 1 line 7). It returns
+// the number of rows in the left partition.
 func (tr *trainer) partition(c *adws.Ctx, rows, buf []int32, attr int, thr float64) int {
-	n := len(rows)
-	bs := tr.cfg.LoopCutoffRows
-	nb := (n + bs - 1) / bs
-	if nb == 1 {
-		return partitionSerial(tr.ds, rows, buf, attr, thr)
-	}
-	left := make([]int32, nb)
 	col := tr.ds.Values[attr]
-	sz := int64(n) * tr.rowBytes
-
-	g := c.Group(adws.GroupHint{Work: float64(n), Size: sz})
-	for b := 0; b < nb; b++ {
-		b := b
-		lo, hi := b*bs, (b+1)*bs
-		if hi > n {
-			hi = n
-		}
-		g.Spawn(float64(hi-lo), func(c *adws.Ctx) {
-			var cnt int32
+	return kernels.Partition(c, len(rows), tr.cfg.LoopCutoffRows, tr.hint(len(rows)),
+		func(lo, hi int) (cnt int) {
 			for _, r := range rows[lo:hi] {
 				if col[r] < thr {
 					cnt++
 				}
 			}
-			left[b] = cnt
-		})
-	}
-	g.Wait()
-
-	// Prefix sums: left-side and right-side block offsets.
-	lOff := make([]int32, nb)
-	rOff := make([]int32, nb)
-	var nl int32
-	for b := 0; b < nb; b++ {
-		lOff[b] = nl
-		nl += left[b]
-	}
-	r := nl
-	for b := 0; b < nb; b++ {
-		rOff[b] = r
-		blockLen := int32(bs)
-		if (b+1)*bs > n {
-			blockLen = int32(n - b*bs)
-		}
-		r += blockLen - left[b]
-	}
-
-	g2 := c.Group(adws.GroupHint{Work: float64(n), Size: sz})
-	for b := 0; b < nb; b++ {
-		b := b
-		lo, hi := b*bs, (b+1)*bs
-		if hi > n {
-			hi = n
-		}
-		g2.Spawn(float64(hi-lo), func(c *adws.Ctx) {
-			li, ri := lOff[b], rOff[b]
+			return cnt
+		},
+		func(lo, hi, l, r int) {
 			for _, row := range rows[lo:hi] {
 				if col[row] < thr {
-					buf[li] = row
-					li++
+					buf[l] = row
+					l++
 				} else {
-					buf[ri] = row
-					ri++
+					buf[r] = row
+					r++
 				}
 			}
 		})
-	}
-	g2.Wait()
-	return int(nl)
-}
-
-// partitionSerial is the one-block variant.
-func partitionSerial(ds *dataset.Dataset, rows, buf []int32, attr int, thr float64) int {
-	col := ds.Values[attr]
-	li := 0
-	ri := len(rows)
-	for _, r := range rows {
-		if col[r] < thr {
-			buf[li] = r
-			li++
-		}
-	}
-	ri = li
-	for _, r := range rows {
-		if col[r] >= thr {
-			buf[ri] = r
-			ri++
-		}
-	}
-	return li
 }

@@ -28,18 +28,9 @@ func (g *Grid) Set(i, j int, v float64) { g.Data[i*g.stride+j] = v }
 // Heat2D runs `iters` iterations of the five-point heat stencil with
 // double buffering (§6.2), reading src and writing dst on even iterations
 // and vice versa. It returns the grid holding the final state.
-func Heat2D(pool *adws.Pool, src, dst *Grid, iters int) *Grid {
-	pool.Run(func(c *adws.Ctx) {
-		s, d := src, dst
-		for it := 0; it < iters; it++ {
-			heatSweep(c, s, d, 0, 0, s.N, s.N)
-			s, d = d, s
-		}
-	})
-	if iters%2 == 0 {
-		return src
-	}
-	return dst
+func Heat2D(pool *adws.Pool, src, dst *Grid, iters int) (out *Grid) {
+	pool.Run(Heat2DBody(src, dst, iters, &out))
+	return out
 }
 
 // heatSweep applies one stencil step over the ni×nj block at (i0, j0) by

@@ -30,12 +30,7 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.stride+j] = v }
 // MatMul computes C = A·B by the cache-oblivious recursion (§6.2): square
 // matrices divided into four quadrants, eight recursive sub-products in
 // two sequential groups of four parallel ones.
-func MatMul(pool *adws.Pool, C, A, B *Matrix) {
-	n := C.N
-	pool.Run(func(c *adws.Ctx) {
-		mmRec(c, C, A, B, 0, 0, 0, 0, 0, 0, n)
-	})
-}
+func MatMul(pool *adws.Pool, C, A, B *Matrix) { pool.Run(MatMulBody(C, A, B)) }
 
 // mmRec multiplies the n×n blocks A[ai:,aj:]·B[bi:,bj:] into C[ci:,cj:].
 func mmRec(c *adws.Ctx, C, A, B *Matrix, ci, cj, ai, aj, bi, bj, n int) {

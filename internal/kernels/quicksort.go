@@ -19,12 +19,7 @@ const QuicksortCutoff = 8192
 // both the recursion and the partition through double buffering, as in the
 // paper's Quicksort benchmark (§6.2). The total working set is twice the
 // input array.
-func Quicksort(pool *adws.Pool, data []float64) {
-	buf := make([]float64, len(data))
-	pool.Run(func(c *adws.Ctx) {
-		qsort(c, data, buf)
-	})
-}
+func Quicksort(pool *adws.Pool, data []float64) { pool.Run(QuicksortBody(data)) }
 
 // qsort sorts a into itself using b as the double buffer.
 func qsort(c *adws.Ctx, a, b []float64) {
@@ -34,7 +29,27 @@ func qsort(c *adws.Ctx, a, b []float64) {
 		return
 	}
 	pivot := medianOf3(a[0], a[n/2], a[n-1])
-	nl := parallelPartition(c, a, b, pivot)
+	h := adws.GroupHint{Work: float64(n), Size: int64(2*n) * 8}
+	nl := Partition(c, n, QuicksortCutoff, h,
+		func(lo, hi int) (cnt int) {
+			for _, v := range a[lo:hi] {
+				if v < pivot {
+					cnt++
+				}
+			}
+			return cnt
+		},
+		func(lo, hi, l, r int) {
+			for _, v := range a[lo:hi] {
+				if v < pivot {
+					b[l] = v
+					l++
+				} else {
+					b[r] = v
+					r++
+				}
+			}
+		})
 	if nl == 0 || nl == n {
 		// Degenerate pivot (many equal keys): fall back to serial sort of
 		// this range to guarantee progress.
@@ -43,10 +58,7 @@ func qsort(c *adws.Ctx, a, b []float64) {
 	}
 	// The partition lives in b; sort its halves back into a.
 	copy(a, b)
-	g := c.Group(adws.GroupHint{
-		Work: float64(n),
-		Size: int64(2*n) * 8,
-	})
+	g := c.Group(h)
 	g.Spawn(float64(nl), func(c *adws.Ctx) { qsort(c, a[:nl], b[:nl]) })
 	g.Spawn(float64(n-nl), func(c *adws.Ctx) { qsort(c, a[nl:], b[nl:]) })
 	g.Wait()
@@ -63,93 +75,4 @@ func medianOf3(a, b, c float64) float64 {
 		b = a
 	}
 	return b
-}
-
-// parallelPartition stably partitions a by (< pivot) into b using a
-// parallel count pass, serial prefix sums, and a parallel scatter pass.
-// It returns the size of the left part.
-func parallelPartition(c *adws.Ctx, a, b []float64, pivot float64) int {
-	n := len(a)
-	bs := QuicksortCutoff
-	nb := (n + bs - 1) / bs
-	if nb == 1 {
-		return serialPartition(a, b, pivot)
-	}
-	counts := make([]int, nb)
-	g := c.Group(adws.GroupHint{Work: float64(n), Size: int64(2*n) * 8})
-	for blk := 0; blk < nb; blk++ {
-		blk := blk
-		lo, hi := blk*bs, (blk+1)*bs
-		if hi > n {
-			hi = n
-		}
-		g.Spawn(float64(hi-lo), func(c *adws.Ctx) {
-			cnt := 0
-			for _, v := range a[lo:hi] {
-				if v < pivot {
-					cnt++
-				}
-			}
-			counts[blk] = cnt
-		})
-	}
-	g.Wait()
-
-	lOff := make([]int, nb)
-	rOff := make([]int, nb)
-	nl := 0
-	for blk := 0; blk < nb; blk++ {
-		lOff[blk] = nl
-		nl += counts[blk]
-	}
-	r := nl
-	for blk := 0; blk < nb; blk++ {
-		lo, hi := blk*bs, (blk+1)*bs
-		if hi > n {
-			hi = n
-		}
-		rOff[blk] = r
-		r += (hi - lo) - counts[blk]
-	}
-
-	g2 := c.Group(adws.GroupHint{Work: float64(n), Size: int64(2*n) * 8})
-	for blk := 0; blk < nb; blk++ {
-		blk := blk
-		lo, hi := blk*bs, (blk+1)*bs
-		if hi > n {
-			hi = n
-		}
-		g2.Spawn(float64(hi-lo), func(c *adws.Ctx) {
-			li, ri := lOff[blk], rOff[blk]
-			for _, v := range a[lo:hi] {
-				if v < pivot {
-					b[li] = v
-					li++
-				} else {
-					b[ri] = v
-					ri++
-				}
-			}
-		})
-	}
-	g2.Wait()
-	return nl
-}
-
-func serialPartition(a, b []float64, pivot float64) int {
-	li := 0
-	for _, v := range a {
-		if v < pivot {
-			b[li] = v
-			li++
-		}
-	}
-	ri := li
-	for _, v := range a {
-		if v >= pivot {
-			b[ri] = v
-			ri++
-		}
-	}
-	return li
 }

@@ -14,14 +14,7 @@ const (
 // recursion level the map (x = x*c + x) is applied three times over the
 // current array, then the array is divided in the ratio 1:alpha and both
 // parts recurse in parallel.
-func RRM(pool *adws.Pool, data []float64, alpha float64) {
-	if alpha <= 0 {
-		alpha = 1
-	}
-	pool.Run(func(c *adws.Ctx) {
-		rrmRec(c, data, alpha)
-	})
-}
+func RRM(pool *adws.Pool, data []float64, alpha float64) { pool.Run(RRMBody(data, alpha)) }
 
 // rrmWork returns the exact subtree work hint for an array of n elements.
 func rrmWork(n int, alpha float64) float64 {
@@ -93,12 +86,8 @@ const kdParCutoff = 64 << 10 / 24
 
 // KDTree builds a kd-tree over points (reordering them in place) with
 // median-of-three pivots along round-robin axes (§6.2).
-func KDTree(pool *adws.Pool, points []KDPoint) *KDNode {
-	buf := make([]KDPoint, len(points))
-	var root *KDNode
-	pool.Run(func(c *adws.Ctx) {
-		root = kdBuild(c, points, buf, 0, 0)
-	})
+func KDTree(pool *adws.Pool, points []KDPoint) (root *KDNode) {
+	pool.Run(KDTreeBody(points, &root))
 	return root
 }
 
@@ -120,13 +109,28 @@ func kdBuild(c *adws.Ctx, pts, buf []KDPoint, axis, lo int) *KDNode {
 		return node
 	}
 	pivot := medianOf3(kdAxis(pts[0], axis), kdAxis(pts[n/2], axis), kdAxis(pts[n-1], axis))
-	// Partition by the pivot plane (serial below the parallel cutoff).
-	var nl int
-	if n <= kdParCutoff {
-		nl = kdPartitionSerial(pts, buf, axis, pivot)
-	} else {
-		nl = kdPartitionParallel(c, pts, buf, axis, pivot)
-	}
+	// Partition by the pivot plane (inline below the parallel cutoff).
+	h := adws.GroupHint{Work: float64(n), Size: int64(2*n) * 24}
+	nl := Partition(c, n, kdParCutoff, h,
+		func(lo, hi int) (cnt int) {
+			for _, p := range pts[lo:hi] {
+				if kdAxis(p, axis) < pivot {
+					cnt++
+				}
+			}
+			return cnt
+		},
+		func(lo, hi, l, r int) {
+			for _, p := range pts[lo:hi] {
+				if kdAxis(p, axis) < pivot {
+					buf[l] = p
+					l++
+				} else {
+					buf[r] = p
+					r++
+				}
+			}
+		})
 	if nl == 0 || nl == n {
 		return node // degenerate plane: stop here
 	}
@@ -138,7 +142,7 @@ func kdBuild(c *adws.Ctx, pts, buf []KDPoint, axis, lo int) *KDNode {
 		node.Right = kdBuild(c, pts[nl:], buf[nl:n], next, lo+nl)
 		return node
 	}
-	g := c.Group(adws.GroupHint{Work: float64(n), Size: int64(2*n) * 24})
+	g := c.Group(h)
 	g.Spawn(float64(nl), func(c *adws.Ctx) {
 		node.Left = kdBuild(c, pts[:nl], buf[:nl], next, lo)
 	})
@@ -147,77 +151,4 @@ func kdBuild(c *adws.Ctx, pts, buf []KDPoint, axis, lo int) *KDNode {
 	})
 	g.Wait()
 	return node
-}
-
-func kdPartitionSerial(pts, buf []KDPoint, axis int, pivot float64) int {
-	li := 0
-	for _, p := range pts {
-		if kdAxis(p, axis) < pivot {
-			buf[li] = p
-			li++
-		}
-	}
-	ri := li
-	for _, p := range pts {
-		if kdAxis(p, axis) >= pivot {
-			buf[ri] = p
-			ri++
-		}
-	}
-	return li
-}
-
-// kdPartitionParallel mirrors Quicksort's count/prefix/scatter scheme.
-func kdPartitionParallel(c *adws.Ctx, pts, buf []KDPoint, axis int, pivot float64) int {
-	n := len(pts)
-	bs := kdParCutoff
-	nb := (n + bs - 1) / bs
-	counts := make([]int, nb)
-	g := c.Group(adws.GroupHint{Work: float64(n), Size: int64(2*n) * 24})
-	for blk := 0; blk < nb; blk++ {
-		blk := blk
-		lo, hi := blk*bs, min((blk+1)*bs, n)
-		g.Spawn(float64(hi-lo), func(c *adws.Ctx) {
-			cnt := 0
-			for _, p := range pts[lo:hi] {
-				if kdAxis(p, axis) < pivot {
-					cnt++
-				}
-			}
-			counts[blk] = cnt
-		})
-	}
-	g.Wait()
-	lOff := make([]int, nb)
-	rOff := make([]int, nb)
-	nl := 0
-	for blk := 0; blk < nb; blk++ {
-		lOff[blk] = nl
-		nl += counts[blk]
-	}
-	r := nl
-	for blk := 0; blk < nb; blk++ {
-		lo, hi := blk*bs, min((blk+1)*bs, n)
-		rOff[blk] = r
-		r += (hi - lo) - counts[blk]
-	}
-	g2 := c.Group(adws.GroupHint{Work: float64(n), Size: int64(2*n) * 24})
-	for blk := 0; blk < nb; blk++ {
-		blk := blk
-		lo, hi := blk*bs, min((blk+1)*bs, n)
-		g2.Spawn(float64(hi-lo), func(c *adws.Ctx) {
-			li, ri := lOff[blk], rOff[blk]
-			for _, p := range pts[lo:hi] {
-				if kdAxis(p, axis) < pivot {
-					buf[li] = p
-					li++
-				} else {
-					buf[ri] = p
-					ri++
-				}
-			}
-		})
-	}
-	g2.Wait()
-	return nl
 }

@@ -43,7 +43,7 @@ type WorkerState struct {
 // state. It is advisory: the fields are read lock-free while the pool
 // runs, so the rows are individually accurate but not mutually atomic.
 type SchedSnapshot struct {
-	// TakenNS is the snapshot timestamp in Event.Time units (monotonic
+	// TakenNS is the snapshot timestamp in Event.Time units (wall-clock
 	// nanoseconds).
 	TakenNS int64         `json:"taken_ns"`
 	Workers []WorkerState `json:"workers"`

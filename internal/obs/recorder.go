@@ -128,7 +128,7 @@ func (r *Recorder) NumWorkers() int { return r.t.NumWorkers() }
 func (r *Recorder) Capacity() int { return r.t.Capacity() }
 
 // LastNS returns worker w's most recent recorded-event timestamp
-// (Event.Time units, i.e. monotonic nanoseconds in the real runtime), or
+// (Event.Time units, i.e. wall-clock nanoseconds in the real runtime), or
 // 0 if the worker has recorded nothing since the last reset.
 func (r *Recorder) LastNS(w int) int64 { return r.last[w].Load() }
 

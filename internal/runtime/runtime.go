@@ -236,7 +236,8 @@ type task struct {
 	// so the flight recorder's task-span depth filter keys on this
 	// instead; it costs one add per spawn and is policy-independent.
 	sdepth int32
-	// seq is the task's creation ordinal, assigned only when tracing.
+	// seq is the task's creation ordinal, assigned only when tracing or
+	// when the flight recorder keeps the task's span events.
 	seq int64
 	// job is the root job this task descends from (nil only for internal
 	// tasks created before job tracking existed; all Run/SubmitRoot roots
@@ -598,7 +599,7 @@ type worker struct {
 	// clears curJob before parking), so per-task cost is one predicted
 	// load+compare.
 	curJob, curStart atomic.Int64
-	// idleSince marks the start of the current idle stretch (monotonic
+	// idleSince marks the start of the current idle stretch (wall-clock
 	// ns), or 0 when not idle. Only the owning worker writes it.
 	idleSince int64
 	// wakeAt is the timestamp of the last park wakeup whose wake-to-run
@@ -608,7 +609,8 @@ type worker struct {
 	wakeAt int64
 }
 
-// now returns a monotonic timestamp in nanoseconds.
+// now returns a wall-clock timestamp in nanoseconds: time.Now().UnixNano()
+// is not monotonic, so a clock step skews spans (ROADMAP.md item 18(a)).
 func now() int64 { return time.Now().UnixNano() }
 
 // markIdleStart begins an idle stretch if none is open.

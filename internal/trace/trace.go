@@ -17,7 +17,8 @@
 // keeps running, at the cost of losing at most one in-flight event per
 // worker per cut (see ring.cut for the protocol).
 //
-// Timestamps are monotonic nanoseconds in the real runtime. The simulator
+// Timestamps are wall-clock nanoseconds (time.Now().UnixNano(), not
+// monotonic; ROADMAP.md item 18(a)) in the real runtime. The simulator
 // records virtual time scaled by 1000 (millivirtual units) so sub-unit
 // cost-model resolution survives the integer conversion.
 package trace
@@ -139,7 +140,7 @@ type Event struct {
 	// Depth is the task/group depth, the minimum stealable depth of steal
 	// events, or the cache level of EvBoundary events.
 	Depth int32
-	// Time is the event timestamp: monotonic nanoseconds (real runtime) or
+	// Time is the event timestamp: wall-clock nanoseconds (real runtime) or
 	// virtual time ×1000 (simulator).
 	Time int64
 	// Task is the task ordinal, or the domain id for EvBoundary events.

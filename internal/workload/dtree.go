@@ -20,9 +20,9 @@ func DecisionTree(bytes int64, seed uint64) Instance {
 		Bytes: bytes,
 		Prepare: func(mem *sim.Memory) (sim.Body, sim.Body) {
 			rows := mem.Alloc("dt.rows", bytes)
-			shape := buildDTShape(rows.Bytes(), seed, 0, 0)
-			root := dtBody(rows, shape)
-			init := parFor(rows, 256<<10, 1, dtHistCompute)
+			sh := buildDTShape(rows.Bytes(), seed, 0, 0)
+			root := dtBody(rows, sh)
+			init := parFor(256<<10, 1, dtHistCompute, rows)
 			return root, init
 		},
 	}
@@ -38,14 +38,8 @@ const (
 	dtLeafCompute = 1500
 )
 
-type dtShape struct {
-	bytes int64
-	work  float64
-	l, r  *dtShape
-}
-
-func buildDTShape(bytes int64, seed, path uint64, depth int) *dtShape {
-	n := &dtShape{bytes: bytes}
+func buildDTShape(bytes int64, seed, path uint64, depth int) *shape {
+	n := &shape{bytes: bytes}
 	if bytes <= dtCutoff || bytes < 2*sim.ChunkSize || depth >= dtMaxDepth {
 		n.work = float64(bytes)
 		return n
@@ -62,7 +56,7 @@ func buildDTShape(bytes int64, seed, path uint64, depth int) *dtShape {
 	return n
 }
 
-func dtBody(rows sim.Segment, sh *dtShape) sim.Body {
+func dtBody(rows sim.Segment, sh *shape) sim.Body {
 	return func(b *sim.B) {
 		if sh.l == nil {
 			b.Compute(dtLeafCompute*float64(rows.NumChunks()),
@@ -72,23 +66,13 @@ func dtBody(rows sim.Segment, sh *dtShape) sim.Body {
 		// COMPUTEBESTSPLIT: consecutive histogram sweeps over the same
 		// rows (iterative data locality).
 		for g := 0; g < dtAttrGroups; g++ {
-			hist := parFor(rows, dtLoopCutoff, 1, dtHistCompute)
-			hist(b)
+			parFor(dtLoopCutoff, 1, dtHistCompute, rows)(b)
 		}
 		// PARTITION: one more parallel sweep (read + write modelled as two
 		// passes over the rows).
-		part := parFor(rows, dtLoopCutoff, 2, dtPartCompute)
-		part(b)
+		parFor(dtLoopCutoff, 2, dtPartCompute, rows)(b)
 		// Recurse on the two partitions.
-		lseg := rows.Slice(0, sh.l.bytes)
-		rseg := rows.Slice(sh.l.bytes, sh.r.bytes)
-		b.Fork(sim.GroupSpec{
-			Work: sh.l.work + sh.r.work,
-			Size: rows.Bytes(),
-			Children: []sim.ChildSpec{
-				{Work: sh.l.work, Size: sh.l.bytes, Body: dtBody(lseg, sh.l)},
-				{Work: sh.r.work, Size: sh.r.bytes, Body: dtBody(rseg, sh.r)},
-			},
-		})
+		sh.fork(b, 1, dtBody(rows.Slice(0, sh.l.bytes), sh.l),
+			dtBody(rows.Slice(sh.l.bytes, sh.r.bytes), sh.r))
 	}
 }

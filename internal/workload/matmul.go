@@ -41,9 +41,9 @@ func MatMul(n int, seed uint64) Instance {
 			m := &mmState{A: A, B: B, C: C, nTiles: nt}
 			root := m.mul(nt, 0, 0, 0, 0, 0, 0)
 			init := func(b *sim.B) {
-				parFor(A, mmTileBytes, 1, 200)(b)
-				parFor(B, mmTileBytes, 1, 200)(b)
-				parFor(C, mmTileBytes, 1, 200)(b)
+				parFor(mmTileBytes, 1, 200, A)(b)
+				parFor(mmTileBytes, 1, 200, B)(b)
+				parFor(mmTileBytes, 1, 200, C)(b)
 			}
 			return root, init
 		},

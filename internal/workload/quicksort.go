@@ -2,44 +2,6 @@ package workload
 
 import "github.com/parlab/adws/internal/sim"
 
-// parFor2 builds a flat parallel loop sweeping two same-sized segments in
-// lockstep (reading src, writing dst), as the paper's double-buffered
-// partition operations do.
-func parFor2(src, dst sim.Segment, cutoff int64, computePerChunk float64) sim.Body {
-	var build func(a, b sim.Segment) sim.Body
-	build = func(a, b sim.Segment) sim.Body {
-		if a.Bytes() <= cutoff || a.NumChunks() <= 1 {
-			return func(bb *sim.B) {
-				bb.Compute(computePerChunk*float64(a.NumChunks()*2),
-					sim.AccessSpec{Seg: a, Passes: 1}, sim.AccessSpec{Seg: b, Passes: 1})
-			}
-		}
-		return func(bb *sim.B) {
-			half := (a.Bytes() / 2 / sim.ChunkSize) * sim.ChunkSize
-			al, ar := a.Slice(0, half), a.Slice(half, a.Bytes()-half)
-			bl, br := b.Slice(0, half), b.Slice(half, b.Bytes()-half)
-			bb.Fork(sim.GroupSpec{
-				Work: float64(a.Bytes()),
-				Size: a.Bytes() + b.Bytes(),
-				Children: []sim.ChildSpec{
-					{Work: float64(al.Bytes()), Size: al.Bytes() + bl.Bytes(), Body: build(al, bl)},
-					{Work: float64(ar.Bytes()), Size: ar.Bytes() + br.Bytes(), Body: build(ar, br)},
-				},
-			})
-		}
-	}
-	return build(src, dst)
-}
-
-// qsShape is the deterministic recursion shape of a divide-and-conquer
-// sort: per-node split fractions drawn from a median-of-three pseudo-pivot
-// distribution, with exact subtree work for the hints.
-type qsShape struct {
-	bytes int64
-	work  float64
-	l, r  *qsShape
-}
-
 // medianOfThree returns the median of three uniform draws: the split
 // fraction distribution of a median-of-3 pivot on random data.
 func medianOfThree(r interface{ Float64() float64 }) float64 {
@@ -62,8 +24,11 @@ func medianOfThree(r interface{ Float64() float64 }) float64 {
 	return b
 }
 
-func buildQSShape(bytes, cutoff int64, seed, path uint64, leafWorkFactor float64) *qsShape {
-	n := &qsShape{bytes: bytes}
+// buildQSShape builds the recursion shape of a divide-and-conquer sort:
+// per-node split fractions drawn from a median-of-three pseudo-pivot
+// distribution, with exact subtree work for the hints.
+func buildQSShape(bytes, cutoff int64, seed, path uint64, leafWorkFactor float64) *shape {
+	n := &shape{bytes: bytes}
 	if bytes <= cutoff || bytes < 2*sim.ChunkSize {
 		n.work = leafWorkFactor * float64(bytes)
 		return n
@@ -90,9 +55,9 @@ func Quicksort(bytes int64, seed uint64) Instance {
 		Prepare: func(mem *sim.Memory) (sim.Body, sim.Body) {
 			a := mem.Alloc("qs.data", arr)
 			buf := mem.Alloc("qs.buf", arr)
-			shape := buildQSShape(a.Bytes(), 64<<10, seed, 0, qsLeafFactor)
-			root := qsBody(a, buf, shape)
-			init := parFor(a, 64<<10, 1, qsPartitionCompute)
+			sh := buildQSShape(a.Bytes(), 64<<10, seed, 0, qsLeafFactor)
+			root := sortBody(a, buf, sh, qsLeafFactor*1000, qsPartitionCompute)
+			init := parFor(64<<10, 1, qsPartitionCompute, a)
 			return root, init
 		},
 	}
@@ -107,28 +72,22 @@ const (
 	qsLeafFactor = 5
 )
 
-func qsBody(a, buf sim.Segment, sh *qsShape) sim.Body {
+// sortBody is one node of a double-buffered divide-and-conquer sort
+// (Quicksort, kd-tree construction). A leaf finishes its range serially:
+// two passes with leafPerChunk compute per chunk. An inner node partitions
+// a into buf in a parallel loop with partPerChunk compute per chunk-pass,
+// then recurses on the two parts with the buffers' roles swapped.
+func sortBody(a, buf sim.Segment, sh *shape, leafPerChunk, partPerChunk float64) sim.Body {
 	return func(b *sim.B) {
 		if sh.l == nil {
-			// Serial leaf sort: a couple of passes with n log n compute.
-			b.Compute(qsLeafFactor*float64(a.NumChunks())*1000,
-				sim.AccessSpec{Seg: a, Passes: 2})
+			b.Compute(leafPerChunk*float64(a.NumChunks()), sim.AccessSpec{Seg: a, Passes: 2})
 			return
 		}
-		// Parallel partition: read a, write buf, then logically swap roles
-		// for the recursive calls (double buffering).
-		part := parFor2(a, buf, 64<<10, qsPartitionCompute)
-		part(b)
+		parFor(64<<10, 1, partPerChunk, a, buf)(b)
 		la, ra := a.Slice(0, sh.l.bytes), a.Slice(sh.l.bytes, sh.r.bytes)
 		lb, rb := buf.Slice(0, sh.l.bytes), buf.Slice(sh.l.bytes, sh.r.bytes)
-		b.Fork(sim.GroupSpec{
-			Work: sh.l.work + sh.r.work,
-			Size: 2 * a.Bytes(),
-			Children: []sim.ChildSpec{
-				{Work: sh.l.work, Size: 2 * sh.l.bytes, Body: qsBody(lb, la, sh.l)},
-				{Work: sh.r.work, Size: 2 * sh.r.bytes, Body: qsBody(rb, ra, sh.r)},
-			},
-		})
+		sh.fork(b, 2, sortBody(lb, la, sh.l, leafPerChunk, partPerChunk),
+			sortBody(rb, ra, sh.r, leafPerChunk, partPerChunk))
 	}
 }
 
@@ -144,9 +103,9 @@ func KDTree(bytes int64, seed uint64) Instance {
 		Prepare: func(mem *sim.Memory) (sim.Body, sim.Body) {
 			a := mem.Alloc("kd.points", arr)
 			buf := mem.Alloc("kd.buf", arr)
-			shape := buildQSShape(a.Bytes(), 64<<10, seed^0x9E37, 0, kdLeafFactor)
-			root := kdBody(a, buf, shape)
-			init := parFor(a, 64<<10, 1, kdPartitionCompute)
+			sh := buildQSShape(a.Bytes(), 64<<10, seed^0x9E37, 0, kdLeafFactor)
+			root := sortBody(a, buf, sh, kdLeafFactor*500, kdPartitionCompute)
+			init := parFor(64<<10, 1, kdPartitionCompute, a)
 			return root, init
 		},
 	}
@@ -154,29 +113,7 @@ func KDTree(bytes int64, seed uint64) Instance {
 
 const (
 	kdPartitionCompute = 700
-	kdLeafFactor       = 2
+	// kdLeafFactor scales the serial leaf work: finishing sub-4KB tree
+	// nodes is mostly data movement, little compute.
+	kdLeafFactor = 2
 )
-
-func kdBody(a, buf sim.Segment, sh *qsShape) sim.Body {
-	return func(b *sim.B) {
-		if sh.l == nil {
-			// Leaf: finish building sub-4KB tree nodes serially — mostly
-			// data movement, little compute.
-			b.Compute(kdLeafFactor*float64(a.NumChunks())*500,
-				sim.AccessSpec{Seg: a, Passes: 2})
-			return
-		}
-		part := parFor2(a, buf, 64<<10, kdPartitionCompute)
-		part(b)
-		la, ra := a.Slice(0, sh.l.bytes), a.Slice(sh.l.bytes, sh.r.bytes)
-		lb, rb := buf.Slice(0, sh.l.bytes), buf.Slice(sh.l.bytes, sh.r.bytes)
-		b.Fork(sim.GroupSpec{
-			Work: sh.l.work + sh.r.work,
-			Size: 2 * a.Bytes(),
-			Children: []sim.ChildSpec{
-				{Work: sh.l.work, Size: 2 * sh.l.bytes, Body: kdBody(lb, la, sh.l)},
-				{Work: sh.r.work, Size: 2 * sh.r.bytes, Body: kdBody(rb, ra, sh.r)},
-			},
-		})
-	}
-}

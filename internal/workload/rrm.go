@@ -19,9 +19,9 @@ func RRM(bytes int64, alpha float64, seed uint64) Instance {
 		Bytes: bytes,
 		Prepare: func(mem *sim.Memory) (sim.Body, sim.Body) {
 			seg := mem.Alloc("rrm.data", bytes)
-			shape := buildRRMShape(seg.Bytes(), alpha)
-			root := rrmBody(seg, shape)
-			init := parFor(seg, 128<<10, 1, rrmMapCompute)
+			sh := buildRRMShape(seg.Bytes(), alpha)
+			root := rrmBody(seg, sh)
+			init := parFor(128<<10, 1, rrmMapCompute, seg)
 			return root, init
 		},
 	}
@@ -33,16 +33,9 @@ const rrmMapCompute = 800
 
 const rrmMapRepeats = 3
 
-// rrmShape is the recursion-tree shape with exact subtree work, computed
-// eagerly so that work hints are available at fork time.
-type rrmShape struct {
-	bytes int64
-	work  float64 // total descendant work, in bytes swept
-	l, r  *rrmShape
-}
-
-func buildRRMShape(bytes int64, alpha float64) *rrmShape {
-	n := &rrmShape{bytes: bytes}
+// buildRRMShape builds the recursion shape; work counts bytes swept.
+func buildRRMShape(bytes int64, alpha float64) *shape {
+	n := &shape{bytes: bytes}
 	n.work = float64(rrmMapRepeats) * float64(bytes)
 	if bytes > sim.ChunkSize {
 		lb, rb := splitBytes(bytes, 1/(1+alpha))
@@ -55,26 +48,17 @@ func buildRRMShape(bytes int64, alpha float64) *rrmShape {
 	return n
 }
 
-func rrmBody(seg sim.Segment, sh *rrmShape) sim.Body {
+func rrmBody(seg sim.Segment, sh *shape) sim.Body {
 	return func(b *sim.B) {
 		// Three repeated maps over the current array: consecutive flat
 		// parallel loops with iterative data locality (§2.2).
 		for i := 0; i < rrmMapRepeats; i++ {
-			mapBody := parFor(seg, 128<<10, 1, rrmMapCompute)
-			mapBody(b)
+			parFor(128<<10, 1, rrmMapCompute, seg)(b)
 		}
 		if sh.l == nil {
 			return
 		}
-		lseg := seg.Slice(0, sh.l.bytes)
-		rseg := seg.Slice(sh.l.bytes, sh.r.bytes)
-		b.Fork(sim.GroupSpec{
-			Work: sh.l.work + sh.r.work,
-			Size: seg.Bytes(),
-			Children: []sim.ChildSpec{
-				{Work: sh.l.work, Size: sh.l.bytes, Body: rrmBody(lseg, sh.l)},
-				{Work: sh.r.work, Size: sh.r.bytes, Body: rrmBody(rseg, sh.r)},
-			},
-		})
+		sh.fork(b, 1, rrmBody(seg.Slice(0, sh.l.bytes), sh.l),
+			rrmBody(seg.Slice(sh.l.bytes, sh.r.bytes), sh.r))
 	}
 }

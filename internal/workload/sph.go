@@ -26,13 +26,13 @@ func SPHIters(bytes int64, iters int, seed uint64) Instance {
 		Bytes: bytes,
 		Prepare: func(mem *sim.Memory) (sim.Body, sim.Body) {
 			particles := mem.Alloc("sph.particles", bytes)
-			shape := buildSPHShape(particles, seed, 1, 0)
+			sh := buildSPHShape(particles, seed, 1, 0)
 			root := func(b *sim.B) {
 				for it := 0; it < iters; it++ {
-					sphForce(shape)(b)
+					sphForce(sh)(b)
 				}
 			}
-			init := parFor(particles, sphCutoff, 1, 500)
+			init := parFor(sphCutoff, 1, 500, particles)
 			return root, init
 		},
 	}

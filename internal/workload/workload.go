@@ -74,42 +74,72 @@ func nodeRNG(seed, path uint64) *sched.RNG {
 func leftPath(p uint64) uint64  { return p*2 + 1 }
 func rightPath(p uint64) uint64 { return p*2 + 2 }
 
-// parFor builds a flat parallel loop over seg as a recursive binary split
-// (the way the paper's benchmarks express parallel loops): leaves of at
-// most cutoff bytes run `passes` sweeps over their slice with
-// computePerChunk extra work per chunk-pass. Work hints are exact
-// (proportional to bytes); size hints are the slice sizes.
-func parFor(seg sim.Segment, cutoff int64, passes int, computePerChunk float64) sim.Body {
-	var build func(s sim.Segment) sim.Body
-	build = func(s sim.Segment) sim.Body {
-		if s.Bytes() <= cutoff || s.NumChunks() <= 1 {
-			return func(b *sim.B) {
-				b.Compute(computePerChunk*float64(s.NumChunks()*passes), sim.AccessSpec{Seg: s, Passes: passes})
-			}
-		}
-		return func(b *sim.B) {
-			half := (s.Bytes() / 2 / sim.ChunkSize) * sim.ChunkSize
-			if half == 0 {
-				half = sim.ChunkSize
-			}
-			l := s.Slice(0, half)
-			r := s.Slice(half, s.Bytes()-half)
-			b.Fork(sim.GroupSpec{
-				Work: float64(s.Bytes()),
-				Size: s.Bytes(),
-				Children: []sim.ChildSpec{
-					{Work: float64(l.Bytes()), Size: l.Bytes(), Body: build(l)},
-					{Work: float64(r.Bytes()), Size: r.Bytes(), Body: build(r)},
-				},
-			})
-		}
-	}
-	return build(seg)
+// parFor builds a flat parallel loop over one or two same-sized segments
+// swept in lockstep (the double-buffered partition reads one and writes
+// the other) as a recursive binary split, the way the paper's benchmarks
+// express parallel loops. Leaves of at most cutoff bytes run `passes` sweeps over
+// their slice of every segment with perChunk extra work per chunk-pass.
+// Work hints are the first segment's bytes; size hints sum over the
+// segments.
+func parFor(cutoff int64, passes int, perChunk float64, segs ...sim.Segment) sim.Body {
+	l := &loop{k: len(segs), cutoff: cutoff, passes: passes, perChunk: perChunk}
+	copy(l.segs[:], segs)
+	return l.body(0, segs[0].Bytes())
 }
 
-// chunksOf returns the number of chunks covering `bytes`.
-func chunksOf(bytes int64) float64 {
-	return float64((bytes + sim.ChunkSize - 1) / sim.ChunkSize)
+// loop is one parFor; its tasks cover [off, off+n) of every segment.
+type loop struct {
+	segs     [2]sim.Segment
+	k        int
+	cutoff   int64
+	passes   int
+	perChunk float64
+}
+
+func (l *loop) body(off, n int64) sim.Body {
+	if n <= l.cutoff || n <= sim.ChunkSize {
+		return func(b *sim.B) {
+			acc := make([]sim.AccessSpec, l.k)
+			for i := range acc {
+				acc[i] = sim.AccessSpec{Seg: l.segs[i].Slice(off, n), Passes: l.passes}
+			}
+			b.Compute(l.perChunk*float64(int(n/sim.ChunkSize)*l.passes*l.k), acc...)
+		}
+	}
+	return func(b *sim.B) {
+		half := n / 2 / sim.ChunkSize * sim.ChunkSize
+		k := int64(l.k)
+		b.Fork(sim.GroupSpec{
+			Work: float64(n),
+			Size: k * n,
+			Children: []sim.ChildSpec{
+				{Work: float64(half), Size: k * half, Body: l.body(off, half)},
+				{Work: float64(n - half), Size: k * (n - half), Body: l.body(off+half, n-half)},
+			},
+		})
+	}
+}
+
+// shape is the deterministic recursion tree of a divide-and-conquer
+// benchmark: every node's bytes and exact subtree work, computed eagerly
+// so that work hints are available at fork time. Leaves have nil l and r.
+type shape struct {
+	bytes int64
+	work  float64
+	l, r  *shape
+}
+
+// fork runs the bodies of sh's two subtrees as one task group; each node
+// sweeps k segments of its bytes, which the size hints count.
+func (sh *shape) fork(b *sim.B, k int64, l, r sim.Body) {
+	b.Fork(sim.GroupSpec{
+		Work: sh.l.work + sh.r.work,
+		Size: k * sh.bytes,
+		Children: []sim.ChildSpec{
+			{Work: sh.l.work, Size: k * sh.l.bytes, Body: l},
+			{Work: sh.r.work, Size: k * sh.r.bytes, Body: r},
+		},
+	})
 }
 
 // splitBytes splits `bytes` into two chunk-aligned parts with fraction f

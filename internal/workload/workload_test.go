@@ -112,8 +112,8 @@ func TestRRMAlphaSkew(t *testing.T) {
 
 func TestRRMWorkHintsAreExact(t *testing.T) {
 	sh := buildRRMShape(16<<20, 2)
-	var sum func(n *rrmShape) float64
-	sum = func(n *rrmShape) float64 {
+	var sum func(n *shape) float64
+	sum = func(n *shape) float64 {
 		w := float64(rrmMapRepeats) * float64(n.bytes)
 		if n.l != nil {
 			w += sum(n.l) + sum(n.r)
@@ -127,8 +127,8 @@ func TestRRMWorkHintsAreExact(t *testing.T) {
 
 func TestQSShapeBounds(t *testing.T) {
 	sh := buildQSShape(32<<20, 64<<10, 9, 0, 5)
-	var walk func(n *qsShape) int64
-	walk = func(n *qsShape) int64 {
+	var walk func(n *shape) int64
+	walk = func(n *shape) int64 {
 		if n.l == nil {
 			return n.bytes
 		}

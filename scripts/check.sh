@@ -17,14 +17,18 @@
 #   4. go test ./...                                 full test suite
 #   5. go test -race the root package + internal/sched + internal/runtime
 #      + internal/deque + internal/metrics + internal/obs + internal/trace
-#      + internal/server + internal/cluster + cmd/adwsd
+#      + internal/server + internal/cluster + cmd/adwsd + internal/kernels
+#      + internal/dtree
 #      The scheduler core's group tree (written by owners, read by
 #      thieves), the runtime's queues, the three packages that are
 #      lock-free by design (the Chase-Lev deque, the metrics registry, the
 #      flight recorder), the tracer's per-worker ring buffers, the
-#      job-serving admission path, and the cluster's routing ledger are
-#      the places where a data race would silently corrupt results; the
-#      race detector is the authority on all of them.
+#      job-serving admission path, the cluster's routing ledger, and the
+#      shared kernels.Partition (its tasks write disjoint count slots and
+#      disjoint buffer ranges; Quicksort, the kd-tree and the decision
+#      tree run it) are the places where a data race would silently
+#      corrupt results; the race detector is the authority on all of
+#      them.
 #   6. go test -run='^$' -bench=. -benchtime=1x ./...   benchmark smoke
 #      One iteration of every benchmark, so a refactor that breaks a
 #      benchmark harness (or deadlocks the parked-pool submit path) fails
@@ -80,8 +84,8 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/..."
-go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/...
+echo "==> go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/... ./internal/kernels/... ./internal/dtree/..."
+go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/... ./internal/kernels/... ./internal/dtree/...
 
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./...   (benchmark smoke)"
 go test -run='^$' -bench=. -benchtime=1x ./...
