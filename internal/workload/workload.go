@@ -77,10 +77,10 @@ func rightPath(p uint64) uint64 { return p*2 + 2 }
 // parFor builds a flat parallel loop over one or two same-sized segments
 // swept in lockstep (the double-buffered partition reads one and writes
 // the other) as a recursive binary split, the way the paper's benchmarks
-// express parallel loops. Leaves of at most cutoff bytes run `passes` sweeps over
-// their slice of every segment with perChunk extra work per chunk-pass.
-// Work hints are the first segment's bytes; size hints sum over the
-// segments.
+// express parallel loops. Leaves of at most cutoff bytes run `passes`
+// sweeps over their slice of every segment with perChunk extra work per
+// chunk-pass. Work hints are the first segment's bytes; size hints sum
+// over the segments.
 func parFor(cutoff int64, passes int, perChunk float64, segs ...sim.Segment) sim.Body {
 	l := &loop{k: len(segs), cutoff: cutoff, passes: passes, perChunk: perChunk}
 	copy(l.segs[:], segs)
@@ -107,6 +107,7 @@ func (l *loop) body(off, n int64) sim.Body {
 		}
 	}
 	return func(b *sim.B) {
+		// n is whole chunks and above one, so half is at least a chunk.
 		half := n / 2 / sim.ChunkSize * sim.ChunkSize
 		k := int64(l.k)
 		b.Fork(sim.GroupSpec{
