@@ -71,6 +71,15 @@ type Stats = runtime.Stats
 // WorkerStats is one worker's scheduling counters (Stats.PerWorker).
 type WorkerStats = runtime.WorkerStats
 
+// MetricsRegistry renders the pool's metrics as Prometheus text
+// exposition (format 0.0.4): the scheduling counters and the park,
+// steal-probe and wake-to-run histograms the runtime registers, the job
+// counters, queue gauges and queue-wait, service and end-to-end
+// histograms the job server registers, and the watchdog and flight
+// recorder counters. Obtain a pool's registry with Pool.Metrics and
+// render with WriteText; see docs/METRICS.md for the metric catalogue.
+type MetricsRegistry = metrics.Registry
+
 // Tracer records per-worker scheduler events into lock-free ring buffers
 // and exports them as Chrome trace-event JSON (WriteChromeTrace, viewable
 // in Perfetto or chrome://tracing) or derived metrics (Summarize). Enable
@@ -277,10 +286,9 @@ func WithFlightRecorder(eventsPerWorker int) Option {
 	return func(c *config) { c.frCap = eventsPerWorker }
 }
 
-// WithWatchdog overrides the stall/SLO watchdog's tuning (sampling
-// interval, stall threshold, deadline-burst window, burn threshold, dump
-// directory). The watchdog is ON BY DEFAULT with obs defaults; zero
-// fields keep them.
+// WithWatchdog overrides the stall/SLO watchdog's configuration (stall
+// threshold, dump directory, trigger observer). The watchdog is ON BY
+// DEFAULT with obs defaults; zero fields keep them.
 func WithWatchdog(cfg WatchdogConfig) Option {
 	return func(c *config) { c.wd = cfg }
 }
@@ -395,8 +403,26 @@ func NewPool(opts ...Option) (*Pool, error) {
 			SLOBurn:          burnSignal(srv),
 		}, cfg.wd)
 		pool.wd.Start()
+		reasons := obs.Reasons()
+		reg.CounterMultiFunc("adws_watchdog_triggers_total",
+			"Watchdog firings by reason (worker_stall, deadline_burst, slo_burn).",
+			func() []metrics.MultiLabeled {
+				t := pool.wd.Triggers()
+				out := make([]metrics.MultiLabeled, len(reasons))
+				for i, r := range reasons {
+					out[i] = metrics.MultiLabeled{
+						Labels: []metrics.Label{{Name: "reason", Value: r}},
+						Value:  float64(t[r]),
+					}
+				}
+				return out
+			})
 	}
-	registerPoolMetrics(reg, pool)
+	if fr != nil {
+		reg.CounterFunc("adws_flight_recorder_drops_total",
+			"Flight-recorder events lost to ring wraparound (its normal steady state).",
+			func() float64 { return float64(fr.Drops()) })
+	}
 	return pool, nil
 }
 

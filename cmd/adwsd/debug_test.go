@@ -197,10 +197,7 @@ func TestHealthzWatchdogStall(t *testing.T) {
 		adws.WithScheduler(adws.ADWS),
 		adws.WithWorkers(1),
 		adws.WithAdmission(1, 4),
-		adws.WithWatchdog(adws.WatchdogConfig{
-			Interval:   2 * time.Millisecond,
-			StallAfter: 10 * time.Millisecond,
-		}),
+		adws.WithWatchdog(adws.WatchdogConfig{StallAfter: 10 * time.Millisecond}),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func TestAffinityWarmHitRateBeatsRoundRobin(t *testing.T) {
 		out := make(map[string]map[int]bool)
 		for i, j := range jobs {
 			key := keys[i%len(keys)]
-			js := trace.SummarizeJob(events[j.Pool()], 2, j.TraceID())
+			js := trace.Summarize(trace.FilterJob(events[j.Pool()], j.TraceID()), 2)
 			if js.Tasks == 0 {
 				t.Errorf("job %d (key %s): no task events on pool %d's trace", j.ClusterID(), key, j.Pool())
 			}

@@ -155,34 +155,3 @@ func (h *Histogram) Snapshot() Snapshot {
 	}
 	return s
 }
-
-// Quantile returns an upper estimate of the q-quantile (0 ≤ q ≤ 1) in
-// recorded units: the upper edge of the bucket holding the rank-⌈q·n⌉
-// value, clamped to the exact tracked maximum. The estimate never
-// undershoots the true quantile and overshoots by at most 1/8 relative
-// (octave region) or 64 units absolute (linear region). Returns 0 on an
-// empty snapshot.
-func (s *Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var cum int64
-	for i, n := range s.Counts {
-		cum += n
-		if cum >= rank {
-			u := BucketUpper(i)
-			if fm := float64(s.Max); u > fm {
-				u = fm
-			}
-			return u
-		}
-	}
-	return float64(s.Max)
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -59,7 +60,23 @@ func exactQuantile(sorted []int64, q float64) float64 {
 	return float64(sorted[rank-1])
 }
 
-// checkQuantiles records a sample set and asserts the histogram estimate
+// quantile estimates the q-quantile (0 < q ≤ 1) of s in recorded units
+// the way a scraper does from the exposition: the upper edge of the
+// bucket holding the rank-⌈q·n⌉ value, clamped to the tracked maximum
+// (the <name>_max gauge). s must not be empty.
+func quantile(s Snapshot, q float64) float64 {
+	rank := max(int64(math.Ceil(q*float64(s.Count))), 1)
+	var cum int64
+	for i, n := range s.Counts {
+		cum += n
+		if cum >= rank {
+			return math.Min(BucketUpper(i), float64(s.Max))
+		}
+	}
+	return float64(s.Max)
+}
+
+// checkQuantiles records a sample set and asserts the bucket estimate
 // never undershoots the exact quantile and overshoots by at most 1/8
 // relative plus the 64ns linear-region bucket width.
 func checkQuantiles(t *testing.T, name string, samples []int64) {
@@ -79,7 +96,7 @@ func checkQuantiles(t *testing.T, name string, samples []int64) {
 	}
 	for _, q := range []float64{0.01, 0.10, 0.50, 0.90, 0.99, 0.999, 1.0} {
 		exact := exactQuantile(sorted, q)
-		est := s.Quantile(q)
+		est := quantile(s, q)
 		if est < exact {
 			t.Errorf("%s: q=%g estimate %g undershoots exact %g", name, q, est, exact)
 		}
@@ -121,22 +138,27 @@ func TestQuantileErrorBounds(t *testing.T) {
 	checkQuantiles(t, "zeros", []int64{0, 0, 0})
 }
 
-func TestQuantileEmpty(t *testing.T) {
-	var s Snapshot
-	if got := s.Quantile(0.99); got != 0 {
-		t.Fatalf("empty snapshot quantile = %g, want 0", got)
-	}
-}
-
 // TestOverflowBucketUsesMax checks that a value past the log-linear range
-// is reported from the exact CAS-tracked maximum, not +Inf.
+// lands in the overflow bucket and is reported from the exact CAS-tracked
+// maximum, which the <name>_max gauge renders, not +Inf.
 func TestOverflowBucketUsesMax(t *testing.T) {
-	h := NewStandaloneHistogram(1)
+	r := NewRegistry()
+	h := r.Histogram("test_seconds", "", 1)
 	huge := int64(1) << 45
 	h.Record(0, huge)
-	s := h.Snapshot()
-	if got := s.Quantile(1.0); got != float64(huge) {
-		t.Fatalf("overflow quantile = %g, want %g", got, float64(huge))
+	if s := h.Snapshot(); s.Counts[NumBuckets-1] != 1 || s.Max != huge {
+		t.Fatalf("overflow bucket %d, max %d; want 1, %d", s.Counts[NumBuckets-1], s.Max, huge)
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseText(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fams[1].Sample(); fams[1].Name != "test_seconds_max" || got != float64(huge)/1e9 {
+		t.Fatalf("%s = %g, want test_seconds_max = %g", fams[1].Name, got, float64(huge)/1e9)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package metrics is the repo's stdlib-only metrics subsystem: padded
-// atomic counters and gauges, log-linear latency histograms with
+// atomic counters, log-linear latency histograms with
 // per-worker shards, and a Registry that renders Prometheus text
 // exposition (format 0.0.4) with full _bucket/_sum/_count series.
 //
-// The recording paths — Counter.Inc/Add, Gauge.Set, Histogram.Record —
+// The recording paths — Counter.Inc/Add, Histogram.Record —
 // take no locks and allocate nothing, and are sanctioned on
 // //adws:hotpath functions (adwsvet's hotpath analyzer verifies they stay
 // atomic-only). The runtime and the job server register their own
@@ -30,8 +30,7 @@ type padded struct {
 
 // Counter is a monotonically increasing padded atomic counter.
 type Counter struct {
-	cell       padded
-	name, help string
+	cell padded
 }
 
 // Inc adds one.
@@ -46,27 +45,6 @@ func (c *Counter) Add(n int64) { c.cell.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.cell.v.Load() }
-
-// Gauge is a settable padded atomic gauge holding a float64.
-type Gauge struct {
-	cell       padded
-	name, help string
-}
-
-// Set stores v.
-//
-//adws:hotpath
-func (g *Gauge) Set(v float64) { g.cell.v.Store(int64(math.Float64bits(v))) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(uint64(g.cell.v.Load())) }
-
-// Labeled is one sample of a single-label counter family rendered by
-// CounterVecFunc.
-type Labeled struct {
-	Label string
-	Value float64
-}
 
 // Label is one name/value pair of a MultiLabeled sample.
 type Label struct {
@@ -92,16 +70,14 @@ type entry struct {
 	name, help string
 	// typ is the Prometheus TYPE: "counter", "gauge", or "histogram".
 	typ string
-	// Exactly one of the following is set.
-	counter     *Counter
-	gauge       *Gauge
-	hist        *Histogram
-	histVec     []vecHist
-	counterFn   func() float64
-	gaugeFn     func() float64
-	vecLabel    string
-	counterVecF func() []Labeled
-	multiF      func() []MultiLabeled
+	// Exactly one of the following is set (vecLabel with histVec).
+	counter   *Counter
+	hist      *Histogram
+	histVec   []vecHist
+	vecLabel  string
+	counterFn func() float64
+	gaugeFn   func() float64
+	multiF    func() []MultiLabeled
 }
 
 // Registry holds registered metric families and renders them as
@@ -109,9 +85,8 @@ type entry struct {
 // finish before the first WriteText; recording and rendering after that
 // are safe concurrently.
 type Registry struct {
-	entries  []entry
-	byName   map[string]*Histogram
-	onRender []func()
+	entries []entry
+	byName  map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -151,16 +126,9 @@ func validName(s string) bool {
 
 // Counter registers and returns a counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
+	c := &Counter{}
 	r.register(entry{name: name, help: help, typ: "counter", counter: c})
 	return c
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(entry{name: name, help: help, typ: "gauge", gauge: g})
-	return g
 }
 
 // Histogram registers and returns a histogram with the given shard count
@@ -219,12 +187,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(entry{name: name, help: help, typ: "gauge", gaugeFn: fn})
 }
 
-// CounterVecFunc registers a single-label counter family whose samples
-// are read from fn at render time (e.g. per-worker totals).
-func (r *Registry) CounterVecFunc(name, help, label string, fn func() []Labeled) {
-	r.register(entry{name: name, help: help, typ: "counter", vecLabel: label, counterVecF: fn})
-}
-
 // CounterMultiFunc registers a multi-label counter family whose samples
 // are read from fn at render time (e.g. per-pool, per-verdict routing
 // totals). Every sample must carry the same label names; label values
@@ -238,14 +200,6 @@ func (r *Registry) GaugeMultiFunc(name, help string, fn func() []MultiLabeled) {
 	r.register(entry{name: name, help: help, typ: "gauge", multiF: fn})
 }
 
-// OnRender registers fn to run at the start of every WriteText, before
-// any Func metric is read. Use it to take one coherent snapshot that
-// several Func metrics then share (e.g. a single InFlight() read feeding
-// both the queued and running gauges).
-func (r *Registry) OnRender(fn func()) {
-	r.onRender = append(r.onRender, fn)
-}
-
 // FindHistogram returns the registered histogram with the given name, or
 // nil.
 func (r *Registry) FindHistogram(name string) *Histogram { return r.byName[name] }
@@ -254,9 +208,6 @@ func (r *Registry) FindHistogram(name string) *Histogram { return r.byName[name]
 // exposition format 0.0.4. Histogram sample values are converted from
 // recorded nanoseconds to seconds. Safe to call while recorders run.
 func (r *Registry) WriteText(w io.Writer) error {
-	for _, fn := range r.onRender {
-		fn()
-	}
 	var b strings.Builder
 	for i := range r.entries {
 		e := &r.entries[i]
@@ -267,16 +218,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch {
 		case e.counter != nil:
 			fmt.Fprintf(&b, "%s %s\n", e.name, formatValue(float64(e.counter.Value())))
-		case e.gauge != nil:
-			fmt.Fprintf(&b, "%s %s\n", e.name, formatValue(e.gauge.Value()))
 		case e.counterFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", e.name, formatValue(e.counterFn()))
 		case e.gaugeFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", e.name, formatValue(e.gaugeFn()))
-		case e.counterVecF != nil:
-			for _, s := range e.counterVecF() {
-				fmt.Fprintf(&b, "%s{%s=%q} %s\n", e.name, e.vecLabel, s.Label, formatValue(s.Value))
-			}
 		case e.multiF != nil:
 			for _, s := range e.multiF() {
 				b.WriteString(e.name)
@@ -340,11 +285,9 @@ func writeHistogram(b *strings.Builder, name, labels string, s Snapshot) {
 
 // writeHistogramMax renders the companion <name>_max gauge family: the
 // largest value each histogram (or each labeled member) has observed, in
-// seconds. Internal quantile readers already clamp the open top bucket
-// to the observed maximum (Snapshot.Quantile); this family hands
-// external scrapers the same bound, so a p99 estimated from the bucket
-// boundaries can be clamped instead of inflated by one outlier landing
-// in a wide bucket. labels is nil for a plain histogram (one unlabeled
+// seconds. It hands external scrapers the bound on the open top bucket,
+// so a p99 estimated from the bucket boundaries can be clamped instead
+// of inflated by one outlier landing in a wide bucket. labels is nil for a plain histogram (one unlabeled
 // sample) and parallel to snaps for a vec family.
 func writeHistogramMax(b *strings.Builder, name string, labels []string, snaps []Snapshot) {
 	fmt.Fprintf(b, "# TYPE %s_max gauge\n", name)

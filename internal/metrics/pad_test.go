@@ -18,9 +18,6 @@ func TestPaddedCellLayout(t *testing.T) {
 	if o := unsafe.Offsetof(Counter{}.cell); o != 0 {
 		t.Fatalf("Counter.cell at offset %d, want 0 (must start a cache line)", o)
 	}
-	if o := unsafe.Offsetof(Gauge{}.cell); o != 0 {
-		t.Fatalf("Gauge.cell at offset %d, want 0 (must start a cache line)", o)
-	}
 }
 
 func TestHistShardLayout(t *testing.T) {

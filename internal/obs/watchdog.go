@@ -17,12 +17,25 @@ const (
 	// admission queue — the "scheduler is wedged while work exists"
 	// verdict that degrades /healthz.
 	ReasonWorkerStall = "worker_stall"
-	// ReasonDeadlineBurst fires when at least DeadlineBurst queue
-	// deadlines expired within one BurstWindow.
+	// ReasonDeadlineBurst fires when at least deadlineBurst queue
+	// deadlines expired within one burstWindow.
 	ReasonDeadlineBurst = "deadline_burst"
 	// ReasonSLOBurn fires when the SLO burn-rate signal crosses
-	// BurnThreshold.
+	// burnThreshold.
 	ReasonSLOBurn = "slo_burn"
+)
+
+// The watchdog's fixed tuning.
+const (
+	// sampleInterval is the sampling period.
+	sampleInterval = 25 * time.Millisecond
+	// deadlineBurst is the number of deadline expiries within one
+	// burstWindow that constitutes a burst.
+	deadlineBurst = 8
+	// burstWindow is the deadline-burst sliding window.
+	burstWindow = time.Second
+	// burnThreshold is the SLO burn rate that triggers.
+	burnThreshold = 0.5
 )
 
 // Reasons lists every trigger reason, in metric label order.
@@ -60,19 +73,10 @@ type Signals struct {
 
 // WatchdogConfig parameterizes a Watchdog. Zero values take defaults.
 type WatchdogConfig struct {
-	// Interval is the sampling period (default 25ms).
-	Interval time.Duration
 	// StallAfter is how long a non-parked worker must make no task
 	// progress, with jobs queued, before the stall verdict (default
 	// 250ms).
 	StallAfter time.Duration
-	// DeadlineBurst is the number of deadline expiries within one
-	// BurstWindow that constitutes a burst (default 8).
-	DeadlineBurst int
-	// BurstWindow is the deadline-burst sliding window (default 1s).
-	BurstWindow time.Duration
-	// BurnThreshold is the SLO burn rate that triggers (default 0.5).
-	BurnThreshold float64
 	// DumpDir, when non-empty, receives one JSON file per trigger dump
 	// (fr-<seq>-<reason>.json). Empty falls back to $ADWS_FR_DIR; both
 	// empty keeps dumps in memory only (Recorder.LastDump).
@@ -83,20 +87,8 @@ type WatchdogConfig struct {
 }
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval <= 0 {
-		c.Interval = 25 * time.Millisecond
-	}
 	if c.StallAfter <= 0 {
 		c.StallAfter = 250 * time.Millisecond
-	}
-	if c.DeadlineBurst <= 0 {
-		c.DeadlineBurst = 8
-	}
-	if c.BurstWindow <= 0 {
-		c.BurstWindow = time.Second
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 0.5
 	}
 	if c.DumpDir == "" {
 		c.DumpDir = os.Getenv("ADWS_FR_DIR")
@@ -194,7 +186,7 @@ func (w *Watchdog) Stop() {
 
 func (w *Watchdog) run() {
 	defer close(w.done)
-	tick := time.NewTicker(w.cfg.Interval)
+	tick := time.NewTicker(sampleInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -288,12 +280,12 @@ func (w *Watchdog) sampleBurst(now time.Time) {
 	w.mu.Lock()
 	w.expWindow = append(w.expWindow, expSample{at: now, exp: exp})
 	cut := 0
-	for cut < len(w.expWindow)-1 && now.Sub(w.expWindow[cut].at) > w.cfg.BurstWindow {
+	for cut < len(w.expWindow)-1 && now.Sub(w.expWindow[cut].at) > burstWindow {
 		cut++
 	}
 	w.expWindow = w.expWindow[cut:]
 	delta := exp - w.expWindow[0].exp
-	burst := delta >= int64(w.cfg.DeadlineBurst)
+	burst := delta >= deadlineBurst
 	fire := burst && !w.burstActive
 	w.burstActive = burst
 	w.mu.Unlock()
@@ -306,7 +298,7 @@ func (w *Watchdog) sampleBurst(now time.Time) {
 func (w *Watchdog) sampleBurn(now time.Time) {
 	burn := w.sig.SLOBurn()
 	w.mu.Lock()
-	hot := burn >= w.cfg.BurnThreshold
+	hot := burn >= burnThreshold
 	fire := hot && !w.burnActive
 	w.burnActive = hot
 	w.mu.Unlock()

@@ -139,27 +139,27 @@ func TestWatchdogParkedNeverStalls(t *testing.T) {
 func TestWatchdogDeadlineBurst(t *testing.T) {
 	f := &fakeSignals{}
 	wd := NewWatchdog(nil, Signals{DeadlineExpired: func() int64 { return f.expired }},
-		WatchdogConfig{DeadlineBurst: 4, BurstWindow: time.Second})
+		WatchdogConfig{})
 	t0 := time.Unix(1000, 0)
 	wd.sample(t0)
-	f.expired = 3
-	wd.sample(t0.Add(200 * time.Millisecond)) // 3 in window: under threshold
+	f.expired = deadlineBurst - 1
+	wd.sample(t0.Add(burstWindow / 5)) // one short of a burst in the window
 	if wd.Triggers()[ReasonDeadlineBurst] != 0 {
 		t.Fatal("burst fired under threshold")
 	}
-	f.expired = 5
-	wd.sample(t0.Add(400 * time.Millisecond)) // 5 in window: burst
+	f.expired = deadlineBurst + 1
+	wd.sample(t0.Add(2 * burstWindow / 5)) // a burst in the window
 	if got := wd.Triggers()[ReasonDeadlineBurst]; got != 1 {
 		t.Fatalf("burst triggers = %d, want 1", got)
 	}
-	f.expired = 6
-	wd.sample(t0.Add(600 * time.Millisecond)) // still bursting: no re-fire
+	f.expired = deadlineBurst + 2
+	wd.sample(t0.Add(3 * burstWindow / 5)) // still bursting: no re-fire
 	if got := wd.Triggers()[ReasonDeadlineBurst]; got != 1 {
 		t.Fatalf("burst re-fired while active: %d", got)
 	}
-	wd.sample(t0.Add(3 * time.Second)) // window slides past, re-arms
-	f.expired = 12
-	wd.sample(t0.Add(3*time.Second + 100*time.Millisecond))
+	wd.sample(t0.Add(3 * burstWindow)) // window slides past, re-arms
+	f.expired = 2*deadlineBurst + 2
+	wd.sample(t0.Add(3*burstWindow + burstWindow/10))
 	if got := wd.Triggers()[ReasonDeadlineBurst]; got != 2 {
 		t.Fatalf("second burst triggers = %d, want 2", got)
 	}
@@ -169,7 +169,7 @@ func TestWatchdogDeadlineBurst(t *testing.T) {
 func TestWatchdogBurn(t *testing.T) {
 	f := &fakeSignals{}
 	wd := NewWatchdog(nil, Signals{SLOBurn: func() float64 { return f.burn }},
-		WatchdogConfig{BurnThreshold: 0.5})
+		WatchdogConfig{})
 	t0 := time.Unix(1000, 0)
 	f.burn = 0.4
 	wd.sample(t0)
@@ -210,7 +210,7 @@ func TestWatchdogDumpFile(t *testing.T) {
 // TestWatchdogStartStop pins lifecycle idempotence, including stopping a
 // watchdog that never started.
 func TestWatchdogStartStop(t *testing.T) {
-	wd := NewWatchdog(nil, Signals{}, WatchdogConfig{Interval: time.Millisecond})
+	wd := NewWatchdog(nil, Signals{}, WatchdogConfig{})
 	wd.Start()
 	wd.Start()
 	wd.Stop()

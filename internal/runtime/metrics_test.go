@@ -125,10 +125,14 @@ func TestSinksAgree(t *testing.T) {
 		}
 
 		var parks, parkNS, attempts, probeNS int64
+		events := tr.Events()
 		for w := 0; w < workers; w++ {
 			var parkAt, attemptAt int64
 			inPark, inProbe := false, false
-			for _, ev := range tr.CutWorker(w) {
+			for _, ev := range events {
+				if int(ev.Worker) != w {
+					continue
+				}
 				switch ev.Type {
 				case trace.EvPark:
 					parkAt, inPark = ev.Time, true

@@ -7,6 +7,7 @@ import (
 	"github.com/parlab/adws/internal/sched"
 	"github.com/parlab/adws/internal/sim"
 	"github.com/parlab/adws/internal/topology"
+	"github.com/parlab/adws/internal/trace"
 )
 
 // TestPlacementMatchesSimulator is the cross-substrate check of the shared
@@ -52,18 +53,22 @@ func TestPlacementMatchesSimulator(t *testing.T) {
 
 	// The simulator numbers tasks in creation order: the root is ordinal
 	// 1 and child k is ordinal k+2.
-	onSim := make([]int, p)
-	eng := sim.NewEngine(sim.Config{Machine: m, Mode: sim.SLADWS, Seed: 9,
-		TraceExec: func(ordinal int64, worker int) {
-			if ordinal >= 2 {
-				onSim[ordinal-2] = worker
-			}
-		}})
+	tr := trace.New(p, 1<<10)
+	eng := sim.NewEngine(sim.Config{Machine: m, Mode: sim.SLADWS, Seed: 9, Tracer: tr})
 	spec := sim.GroupSpec{Work: p}
 	for k := 0; k < p; k++ {
 		spec.Children = append(spec.Children, sim.Child(1, func(b *sim.B) { b.Compute(1e6) }))
 	}
 	res := eng.Run(func(b *sim.B) { b.Fork(spec) })
+	if d := tr.Drops(); d != 0 {
+		t.Fatalf("tracer dropped %d events", d)
+	}
+	onSim := make([]int, p)
+	for _, ev := range tr.Events() {
+		if ev.Type == trace.EvTaskBegin && ev.Task >= 2 {
+			onSim[ev.Task-2] = int(ev.Worker)
+		}
+	}
 	if res.Steals != 0 || pool.Stats().Steals != 0 {
 		t.Fatalf("steals occurred (sim %d, runtime %d): the placement is not the deterministic one",
 			res.Steals, pool.Stats().Steals)

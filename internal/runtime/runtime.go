@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	gort "runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,9 +82,11 @@ type Config struct {
 	// It must have at least as many rings as the pool has workers. A nil
 	// Tracer costs one pointer check per event site.
 	Tracer *trace.Tracer
-	// Registry receives the pool's latency families, one shard per worker:
+	// Registry receives the pool's families: the latency histograms
 	// adws_park_seconds, adws_steal_attempt_seconds and
-	// adws_wake_to_run_seconds. Nil registers them on a private registry.
+	// adws_wake_to_run_seconds (one shard per worker), and the scheduling
+	// counters read from Stats at render time (docs/METRICS.md). Nil
+	// registers them on a private registry.
 	Registry *metrics.Registry
 	// Flight, if non-nil, is the always-on flight recorder: it receives
 	// the same events as the Tracer but filtered by its type mask and
@@ -342,6 +345,37 @@ func NewPool(cfg Config) *Pool {
 			parkCh: make(chan struct{}, 1)}
 	}
 	p.initTopology()
+	// The scheduling counters render from Stats, read once per family.
+	stat := func(name, help string, f func(Stats) int64, scale float64) {
+		reg.CounterFunc(name, help, func() float64 { return float64(f(p.Stats())) / scale })
+	}
+	stat("adws_tasks_total", "Tasks executed.", func(s Stats) int64 { return s.Tasks }, 1)
+	stat("adws_steals_total", "Successful steals.", func(s Stats) int64 { return s.Steals }, 1)
+	stat("adws_steal_attempts_total", "Steal victim probes.", func(s Stats) int64 { return s.StealAttempts }, 1)
+	stat("adws_migrations_total", "Deterministic task migrations.", func(s Stats) int64 { return s.Migrations }, 1)
+	stat("adws_parks_total", "Worker blocking parks.", func(s Stats) int64 { return s.Parks }, 1)
+	stat("adws_wakes_total", "Wake tokens consumed by workers.", func(s Stats) int64 { return s.Wakes }, 1)
+	stat("adws_busy_seconds_total", "Wall-clock task-execution time summed over workers.",
+		func(s Stats) int64 { return s.BusyNS }, 1e9)
+	stat("adws_idle_seconds_total", "Wall-clock work-search time summed over workers.",
+		func(s Stats) int64 { return s.IdleNS }, 1e9)
+	reg.GaugeFunc("adws_workers", "Pool worker count.", func() float64 { return float64(n) })
+	perWorker := func(name, help string, f func(WorkerStats) int64) {
+		reg.CounterMultiFunc(name, help, func() []metrics.MultiLabeled {
+			out := make([]metrics.MultiLabeled, n)
+			for i, ws := range p.Stats().PerWorker {
+				out[i] = metrics.MultiLabeled{
+					Labels: []metrics.Label{{Name: "worker", Value: strconv.Itoa(i)}},
+					Value:  float64(f(ws)),
+				}
+			}
+			return out
+		})
+	}
+	perWorker("adws_worker_tasks_total", "Tasks executed per worker.",
+		func(ws WorkerStats) int64 { return ws.Tasks })
+	perWorker("adws_worker_steals_total", "Successful steals per worker.",
+		func(ws WorkerStats) int64 { return ws.Steals })
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go func() {

@@ -115,9 +115,6 @@ func (g *GroupNode) CrossTaskCompleted() { g.completedCross.Add(1) }
 // dominant-group candidate.
 func (g *GroupNode) Finish() { g.finished.Store(true) }
 
-// Finished reports whether the group has completed.
-func (g *GroupNode) Finished() bool { return g.finished.Load() }
-
 // IsDominant reports whether g is a dominant task group: a cross-worker
 // task group at least one of whose child cross-worker tasks has completed,
 // and which has not itself finished.

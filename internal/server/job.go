@@ -76,7 +76,7 @@ func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancele
 
 // Stats is a job's scheduling profile: admission timing plus the job's
 // slice of the scheduler counters (maintained per job by the runtime; see
-// trace.SummarizeJob for the richer post-hoc trace slice).
+// trace.Summarize(trace.FilterJob(…)) for the richer post-hoc trace slice).
 type Stats struct {
 	// Queued is the time spent in the admission queue; Run the time
 	// between placement and completion (zero while running).

@@ -13,6 +13,8 @@ import (
 // are recorded via RecordAny and a handful of shards suffices. The class*
 // maps add a per-priority-class breakdown of the same three latencies,
 // keyed by every class a job can carry (Submit rejects unknown classes).
+// The admission outcome counts are not here: the per-class Counters are
+// their one store, and the families render from it.
 type jobMetrics struct {
 	// queueWait records submit → dispatch for jobs that reached Running.
 	queueWait *metrics.Histogram
@@ -21,8 +23,6 @@ type jobMetrics struct {
 	// e2e records submit → terminal state for every job, including jobs
 	// canceled or expired while still queued.
 	e2e *metrics.Histogram
-	// rejected counts admission fast-rejects.
-	rejected *metrics.Counter
 	// expired counts deadline-expired jobs: canceled while queued because
 	// the deadline (or submission context) expired before dispatch, or
 	// rejected at submit because the deadline had already passed.
@@ -34,10 +34,14 @@ type jobMetrics struct {
 	classQueueWait, classService, classE2E map[string]*metrics.Histogram
 }
 
-// noteReject records an admission fast-reject; err is the rejection
-// cause.
-func (s *Server) noteReject(err error) {
-	s.metrics.rejected.Inc()
+// noteReject counts an admission fast-reject of class cs (nil: the
+// class was unknown); err is the rejection cause. Caller holds s.mu.
+func (s *Server) noteReject(cs *classState, err error) {
+	if cs == nil {
+		s.unknownRejects++
+	} else {
+		cs.ctrs.Rejected++
+	}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.expired.Inc()
@@ -82,19 +86,20 @@ func (s *Server) noteComplete(j *Job) {
 // bounded and a few shards only serve to absorb RecordAny bursts.
 const serverHistShards = 4
 
-// newJobMetrics registers the standard adws_job_* families on r, plus the
-// per-class adws_jobs_*_seconds{class=...} families over DefaultClasses.
-func newJobMetrics(r *metrics.Registry) jobMetrics {
+// registerMetrics registers the server's families on r: the adws_job_*
+// latency histograms and their per-class adws_jobs_*_seconds{class}
+// twins over DefaultClasses, the admission counters, and the queue,
+// outcome and fairness families that read the server's state under s.mu
+// at render time.
+func (s *Server) registerMetrics(r *metrics.Registry) jobMetrics {
 	classes := DefaultClasses()
-	return jobMetrics{
+	m := jobMetrics{
 		queueWait: r.Histogram("adws_job_queue_wait_seconds",
 			"Job admission latency: submit to dispatch.", serverHistShards),
 		service: r.Histogram("adws_job_service_seconds",
 			"Job service time: dispatch to terminal state.", serverHistShards),
 		e2e: r.Histogram("adws_job_e2e_seconds",
 			"Job end-to-end latency: submit to terminal state.", serverHistShards),
-		rejected: r.Counter("adws_jobs_rejected_total",
-			"Jobs fast-rejected at admission (queue full, rate limit, expired deadline)."),
 		expired: r.Counter("adws_jobs_deadline_expired_total",
 			"Jobs whose deadline expired while queued or already at submit."),
 		rateLimited: r.Counter("adws_jobs_rate_limited_total",
@@ -109,6 +114,74 @@ func newJobMetrics(r *metrics.Registry) jobMetrics {
 			"Per-class job end-to-end latency: submit to terminal state.",
 			"class", classes, serverHistShards),
 	}
+	r.GaugeFunc("adws_jobs_queued", "Jobs waiting in the admission queue.",
+		func() float64 { q, _ := s.InFlight(); return float64(q) })
+	r.GaugeFunc("adws_jobs_running", "Jobs currently running.",
+		func() float64 { _, run := s.InFlight(); return float64(run) })
+	counter := func(name, help string, f func(Counters) int64) {
+		r.CounterFunc(name, help, func() float64 { return float64(f(s.Counters())) })
+	}
+	counter("adws_jobs_submitted_total", "Jobs admitted (queued or dispatched).",
+		func(c Counters) int64 { return c.Submitted })
+	counter("adws_jobs_rejected_total",
+		"Jobs fast-rejected at admission (queue full, rate limit, expired deadline).",
+		func(c Counters) int64 { return c.Rejected })
+	counter("adws_jobs_completed_total", "Jobs that reached Done.",
+		func(c Counters) int64 { return c.Completed })
+	counter("adws_jobs_failed_total", "Jobs that reached Failed.",
+		func(c Counters) int64 { return c.Failed })
+	counter("adws_jobs_canceled_total", "Jobs canceled before or while running.",
+		func(c Counters) int64 { return c.Canceled })
+
+	// The class list is fixed, so the label sets are stable across
+	// renders; the Jain gauge omits classes without completed jobs.
+	byClass := func(cl string) []metrics.Label { return []metrics.Label{{Name: "class", Value: cl}} }
+	r.GaugeMultiFunc("adws_jobs_queued_by_class",
+		"Jobs waiting in the admission queue, by priority class.",
+		func() []metrics.MultiLabeled {
+			queued := s.QueuedByClass()
+			out := make([]metrics.MultiLabeled, len(classes))
+			for i, cl := range classes {
+				out[i] = metrics.MultiLabeled{Labels: byClass(cl), Value: float64(queued[cl])}
+			}
+			return out
+		})
+	r.CounterMultiFunc("adws_jobs_outcomes_total",
+		"Job admission outcomes by priority class.",
+		func() []metrics.MultiLabeled {
+			ctrs := s.ClassCounters()
+			out := make([]metrics.MultiLabeled, 0, 5*len(classes))
+			for _, cl := range classes {
+				cc := ctrs[cl]
+				for _, o := range []struct {
+					outcome string
+					n       int64
+				}{
+					{"submitted", cc.Submitted}, {"rejected", cc.Rejected},
+					{"completed", cc.Completed}, {"failed", cc.Failed},
+					{"canceled", cc.Canceled},
+				} {
+					out = append(out, metrics.MultiLabeled{
+						Labels: append(byClass(cl), metrics.Label{Name: "outcome", Value: o.outcome}),
+						Value:  float64(o.n),
+					})
+				}
+			}
+			return out
+		})
+	r.GaugeMultiFunc("adws_jobs_fairness_jain",
+		"Jain fairness index over per-tenant mean e2e latency, by class (1 = fair).",
+		func() []metrics.MultiLabeled {
+			jain := s.JainByClass()
+			out := make([]metrics.MultiLabeled, 0, len(jain))
+			for _, cl := range classes {
+				if v, ok := jain[cl]; ok {
+					out = append(out, metrics.MultiLabeled{Labels: byClass(cl), Value: v})
+				}
+			}
+			return out
+		})
+	return m
 }
 
 // DeadlineExpired returns the number of jobs whose deadline expired,

@@ -52,9 +52,9 @@ func TestMetricsRecordJobLifecycle(t *testing.T) {
 	if qw.Sum < 0 || sv.Sum <= 0 {
 		t.Errorf("non-positive spans: queue_wait sum %dns, service sum %dns", qw.Sum, sv.Sum)
 	}
-	if m.rejected.Value() != 0 || m.expired.Value() != 0 {
+	if s.Counters().Rejected != 0 || m.expired.Value() != 0 {
 		t.Errorf("spurious failure counters: rejected=%d expired=%d",
-			m.rejected.Value(), m.expired.Value())
+			s.Counters().Rejected, m.expired.Value())
 	}
 }
 
@@ -80,7 +80,7 @@ func TestMetricsRejectAndExpiry(t *testing.T) {
 	close(release)
 	wait(t, b)
 
-	if got := m.rejected.Value(); got != 1 {
+	if got := s.Counters().Rejected; got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 	if got := m.expired.Value(); got != 1 {

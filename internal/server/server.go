@@ -73,9 +73,10 @@ type Config struct {
 	// buckets (rate <= 0 disables limiting; burst <= 0 defaults to
 	// max(1, rate)). AdmitFIFO ignores them.
 	TenantRate, TenantBurst float64
-	// Registry receives the per-job queue-wait, service, and end-to-end
-	// latency families and the admission reject / deadline-expiry
-	// counters. Nil registers them on a private registry.
+	// Registry receives the server's families: the per-job queue-wait,
+	// service and end-to-end latency histograms, the admission counters
+	// and the queue and per-class gauges (docs/METRICS.md). Nil registers
+	// them on a private registry.
 	Registry *metrics.Registry
 }
 
@@ -136,9 +137,11 @@ type Server struct {
 	// drained is closed when draining && no jobs in flight (lazily made).
 	drained chan struct{}
 	jobs    map[int64]*Job
-	order   []int64 // job ids in submission order, for bounded retention
-	ctrs    Counters
+	order   []int64                // job ids in submission order, for bounded retention
 	classes map[string]*classState // per-class accounting, keyed by class
+	// unknownRejects counts Submit rejects naming an unknown class, the
+	// one reject no class accounts for.
+	unknownRejects int64
 }
 
 // New creates a job server over pool. The server starts no goroutines
@@ -156,14 +159,15 @@ func New(pool *runtime.Pool, cfg Config) *Server {
 	for _, c := range DefaultClasses() {
 		classes[c] = &classState{tenants: make(map[string]*tenantAgg)}
 	}
-	return &Server{
+	s := &Server{
 		pool:    pool,
 		cfg:     cfg,
-		metrics: newJobMetrics(cfg.Registry),
 		adm:     adm,
 		jobs:    make(map[int64]*Job),
 		classes: classes,
 	}
+	s.metrics = s.registerMetrics(cfg.Registry)
+	return s
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -198,17 +202,14 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 	}
 	cs := s.classes[h.Class]
 	if cs == nil {
-		s.ctrs.Rejected++
-		s.noteReject(ErrUnknownClass)
+		s.noteReject(nil, ErrUnknownClass)
 		return nil, fmt.Errorf("%w %q", ErrUnknownClass, h.Class)
 	}
 	// A deadline that has already passed can never run: reject it now
 	// instead of burning a queue slot on a job that only exists to be
 	// cancelled at dispatch.
 	if !h.Deadline.IsZero() && !h.Deadline.After(now) {
-		s.ctrs.Rejected++
-		cs.ctrs.Rejected++
-		s.noteReject(context.DeadlineExceeded)
+		s.noteReject(cs, context.DeadlineExceeded)
 		return nil, context.DeadlineExceeded
 	}
 	// Reap entries whose deadline or context expired while queued before
@@ -216,9 +217,7 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 	// and cause spurious ErrOverloaded rejects.
 	s.reapExpiredLocked()
 	if err := s.adm.Admit(h, now, len(s.queue), s.running); err != nil {
-		s.ctrs.Rejected++
-		cs.ctrs.Rejected++
-		s.noteReject(err)
+		s.noteReject(cs, err)
 		return nil, err
 	}
 
@@ -241,7 +240,6 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 		state:     Queued,
 		submitted: now,
 	}
-	s.ctrs.Submitted++
 	cs.ctrs.Submitted++
 	s.retainLocked(j)
 
@@ -439,30 +437,22 @@ func (s *Server) completeLocked(j *Job, st State, err error) {
 	j.finished = time.Now()
 	s.noteComplete(j)
 	j.cancel()
+	// Submit rejects an unknown class before a Job exists, so cs is set.
 	cs := s.classes[j.hint.Class]
 	switch st {
 	case Done:
-		s.ctrs.Completed++
-		if cs != nil {
-			cs.ctrs.Completed++
-			agg := cs.tenants[j.hint.Tenant]
-			if agg == nil {
-				agg = &tenantAgg{}
-				cs.tenants[j.hint.Tenant] = agg
-			}
-			agg.done++
-			agg.e2eNS += int64(j.finished.Sub(j.submitted))
+		cs.ctrs.Completed++
+		agg := cs.tenants[j.hint.Tenant]
+		if agg == nil {
+			agg = &tenantAgg{}
+			cs.tenants[j.hint.Tenant] = agg
 		}
+		agg.done++
+		agg.e2eNS += int64(j.finished.Sub(j.submitted))
 	case Failed:
-		s.ctrs.Failed++
-		if cs != nil {
-			cs.ctrs.Failed++
-		}
+		cs.ctrs.Failed++
 	case Canceled:
-		s.ctrs.Canceled++
-		if cs != nil {
-			cs.ctrs.Canceled++
-		}
+		cs.ctrs.Canceled++
 	}
 	close(j.done)
 	s.signalDrainedLocked()
@@ -587,9 +577,8 @@ func (s *Server) QueuedByClass() map[string]int {
 	return out
 }
 
-// ClassCounters returns the per-class admission counters. Rejections
-// that happen before a class is resolved (closed/draining/unknown class)
-// appear only in the aggregate Counters.
+// ClassCounters returns the per-class admission counters. An
+// unknown-class reject appears only in the aggregate Counters.
 func (s *Server) ClassCounters() map[string]Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -632,11 +621,20 @@ func (s *Server) JainByClass() map[string]float64 {
 // Workers returns the underlying pool's worker count.
 func (s *Server) Workers() int { return s.pool.NumWorkers() }
 
-// Counters returns the monotonic admission counters.
+// Counters returns the monotonic admission counters: the sum over
+// classes plus the unknown-class rejects.
 func (s *Server) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ctrs
+	c := Counters{Rejected: s.unknownRejects}
+	for _, cs := range s.classes {
+		c.Submitted += cs.ctrs.Submitted
+		c.Rejected += cs.ctrs.Rejected
+		c.Completed += cs.ctrs.Completed
+		c.Failed += cs.ctrs.Failed
+		c.Canceled += cs.ctrs.Canceled
+	}
+	return c
 }
 
 // retainLocked registers j for id lookup and evicts the oldest terminal

@@ -388,7 +388,7 @@ func TestPerJobTraceSlices(t *testing.T) {
 	total := trace.Summarize(events, 4)
 	var tasks, steals, migrations int64
 	for _, id := range got {
-		js := trace.SummarizeJob(events, 4, id)
+		js := trace.Summarize(trace.FilterJob(events, id), 4)
 		if js.Tasks == 0 {
 			t.Errorf("job %d: no task events in slice", id)
 		}

@@ -4,29 +4,43 @@ import (
 	"testing"
 
 	"github.com/parlab/adws/internal/topology"
+	"github.com/parlab/adws/internal/trace"
 )
 
 // assignment records which worker executed each task (by per-run ordinal).
 type assignment map[int64]int
 
+// traceCap is the per-worker ring size of the determinism tests' tracers,
+// large enough that no run drops an event.
+const traceCap = 1 << 12
+
+// cutAssignment detaches the events tr recorded since its last cut and
+// returns the worker of each EvTaskBegin, by task ordinal.
+func cutAssignment(t *testing.T, tr *trace.Tracer) assignment {
+	t.Helper()
+	cur := assignment{}
+	for _, ev := range tr.Cut() {
+		if ev.Type == trace.EvTaskBegin {
+			cur[ev.Task] = int(ev.Worker)
+		}
+	}
+	if d := tr.Drops(); d != 0 {
+		t.Fatalf("tracer dropped %d events; enlarge traceCap", d)
+	}
+	return cur
+}
+
 func runWithTrace(t *testing.T, mode Mode, reps int) []assignment {
 	t.Helper()
-	var out []assignment
-	var cur assignment
-	eng := NewEngine(Config{
-		Machine: topology.TwoLevel16(),
-		Mode:    mode,
-		Seed:    17,
-		TraceExec: func(ord int64, w int) {
-			cur[ord] = w
-		},
-	})
+	m := topology.TwoLevel16()
+	tr := trace.New(m.NumWorkers(), traceCap)
+	eng := NewEngine(Config{Machine: m, Mode: mode, Seed: 17, Tracer: tr})
 	seg := eng.Memory().Alloc("d", 8<<20)
 	body := balancedTree(seg, 7, 2000)
+	var out []assignment
 	for r := 0; r < reps; r++ {
-		cur = assignment{}
 		eng.Run(body)
-		out = append(out, cur)
+		out = append(out, cutAssignment(t, tr))
 	}
 	return out
 }
@@ -72,17 +86,13 @@ func TestIterativeDeterminism(t *testing.T) {
 // range: on a balanced tree over P workers, the two top-level subtrees use
 // disjoint worker halves.
 func TestDeterministicMappingMatchesHints(t *testing.T) {
-	var cur assignment
-	eng := NewEngine(Config{
-		Machine:   topology.TwoLevel16(),
-		Mode:      SLADWS,
-		Seed:      5,
-		TraceExec: func(ord int64, w int) { cur[ord] = w },
-	})
+	m := topology.TwoLevel16()
+	tr := trace.New(m.NumWorkers(), traceCap)
+	eng := NewEngine(Config{Machine: m, Mode: SLADWS, Seed: 5, Tracer: tr})
 	seg := eng.Memory().Alloc("d", 8<<20)
 	body := balancedTree(seg, 6, 50000) // heavy leaves: steals negligible
-	cur = assignment{}
 	eng.Run(body)
+	cur := cutAssignment(t, tr)
 
 	// Tasks are created in deterministic order: ordinal 1 is the root's
 	// first (top-range) child, covering workers [8,16); ordinal 2 the

@@ -68,10 +68,6 @@ type Config struct {
 	// SBSigma and SBMu override the space-bounded scheduler parameters
 	// (defaults 0.5 and 0.2).
 	SBSigma, SBMu float64
-	// TraceExec, if set, is called when a task starts executing, with the
-	// task's per-run creation ordinal and the executing worker. Used to
-	// verify scheduling determinism across repetitions.
-	TraceExec func(taskOrdinal int64, worker int)
 	// Tracer, if non-nil, receives the same scheduler event schema the
 	// real runtime emits (internal/trace), with virtual timestamps scaled
 	// by 1000, so simulated and real runs of one program are diffable.
@@ -412,9 +408,6 @@ func (e *Engine) ordinal(t *Task) int64 { return t.id - e.runStartSeq }
 func (e *Engine) step(w *worker) {
 	t := w.current
 	if !t.built {
-		if e.cfg.TraceExec != nil {
-			e.cfg.TraceExec(t.id-e.runStartSeq, w.id)
-		}
 		if tr := e.cfg.Tracer; tr != nil {
 			tr.Record(w.id, trace.Event{Type: trace.EvTaskBegin, Time: e.vt(),
 				Task: e.ordinal(t), Depth: int32(t.depth),

@@ -347,16 +347,6 @@ func (h *Hierarchy) MissesAtShared() int64 {
 	return 0
 }
 
-// FlushAll empties every cache (used between repetitions when measuring
-// cold-cache behaviour).
-func (h *Hierarchy) FlushAll() {
-	for level := 1; level < len(h.sets); level++ {
-		for _, s := range h.sets[level] {
-			s.Flush()
-		}
-	}
-}
-
 // ResetCounters zeroes the miss/access counters without flushing content
 // (used to exclude warm-up repetitions, as the paper does, §6.1).
 func (h *Hierarchy) ResetCounters() {

@@ -261,8 +261,18 @@ func TestFlushAndReset(t *testing.T) {
 	if c := h.Access(0, s.first); c != costs.PrivateHitPerChunk {
 		t.Errorf("after reset, access cost = %v, want private hit", c)
 	}
-	h.FlushAll()
+	flushAll(h)
 	if c := h.Access(0, s.first); c != costs.MemPerChunk {
 		t.Errorf("after flush, access cost = %v, want memory", c)
+	}
+}
+
+// flushAll empties every cache of h, so the next run starts cold while
+// the engine keeps its memory placement.
+func flushAll(h *Hierarchy) {
+	for level := 1; level < len(h.sets); level++ {
+		for _, s := range h.sets[level] {
+			s.Flush()
+		}
 	}
 }

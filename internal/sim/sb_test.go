@@ -119,7 +119,7 @@ func TestNUMAFirstTouchReducesRemote(t *testing.T) {
 		if init {
 			eng.Run(body) // first touch with the same deterministic mapping
 		}
-		eng.Hierarchy().FlushAll()
+		flushAll(eng.Hierarchy())
 		return eng.Run(body)
 	}
 	inter := run(Interleave, false)

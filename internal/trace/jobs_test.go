@@ -59,11 +59,11 @@ func TestFilterJob(t *testing.T) {
 
 func TestSummarizeJob(t *testing.T) {
 	evs := jobEvents()
-	s1 := SummarizeJob(evs, 3, 1)
+	s1 := Summarize(FilterJob(evs, 1), 3)
 	if s1.Tasks != 2 || s1.Steals != 1 || s1.Migrations != 1 {
 		t.Errorf("job 1: tasks=%d steals=%d migr=%d, want 2, 1, 1", s1.Tasks, s1.Steals, s1.Migrations)
 	}
-	s2 := SummarizeJob(evs, 3, 2)
+	s2 := Summarize(FilterJob(evs, 2), 3)
 	if s2.Tasks != 1 || s2.Steals != 0 || s2.WaitCount != 1 {
 		t.Errorf("job 2: tasks=%d steals=%d waits=%d, want 1, 0, 1", s2.Tasks, s2.Steals, s2.WaitCount)
 	}

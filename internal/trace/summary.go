@@ -227,7 +227,10 @@ func Jobs(events []Event) []int64 {
 // waits, migrations, and the steal successes that moved its tasks. Steal
 // attempts and failed steal rounds carry no job (a probe cannot know whose
 // task it would have found) and are never included; slice them from the
-// whole trace instead.
+// whole trace instead. Summarize over the slice therefore reports zero
+// StealAttempts and StealFails, and its Tasks, Steals, Migrations and
+// wait metrics sum to the whole-trace totals over all jobs when every
+// task carried a job.
 func FilterJob(events []Event, job int64) []Event {
 	var out []Event
 	for _, ev := range events {
@@ -236,15 +239,6 @@ func FilterJob(events []Event, job int64) []Event {
 		}
 	}
 	return out
-}
-
-// SummarizeJob derives metrics for one job's slice of the trace (see
-// FilterJob for the attribution rules). Because steal attempts are
-// unattributable, the per-job StealAttempts and StealFails are always
-// zero; per-job Tasks, Steals, Migrations, and wait metrics sum to the
-// whole-trace totals over all jobs when every task carried a job.
-func SummarizeJob(events []Event, workers int, job int64) Summary {
-	return Summarize(FilterJob(events, job), workers)
 }
 
 // StealSuccessRate returns Steals/StealAttempts, or 0 with no attempts.

@@ -11,8 +11,8 @@
 // pool or engine is quiescent — after Run returned and, for the real
 // runtime, typically after Close.
 //
-// Cut and CutWorker are the exception: they detach a ring's storage by
-// atomically swapping in a fresh frame and read only the retired one, so
+// Cut is the exception: it detaches each ring's storage by atomically
+// swapping in a fresh frame and reads only the retired one, so
 // a flight-recorder dump can take a consistent snapshot while the pool
 // keeps running, at the cost of losing at most one in-flight event per
 // worker per cut (see ring.cut for the protocol).
@@ -322,25 +322,6 @@ func (t *Tracer) Drops() int64 {
 	return d
 }
 
-// WorkerDrops returns worker w's overwritten-event count.
-func (t *Tracer) WorkerDrops(w int) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rings[w].drops()
-}
-
-// Reset discards all recorded events and drop counts. The tracer must be
-// quiescent.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.rings {
-		t.rings[i].cursor.Store(0)
-		t.rings[i].buf.Store(&frame{ev: make([]Event, len(t.rings[i].buf.Load().ev))})
-		t.rings[i].lost = 0
-	}
-}
-
 // Events returns every surviving event merged across workers, sorted by
 // timestamp (stable: each worker's own order is preserved). The tracer
 // must be quiescent.
@@ -355,21 +336,12 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// CutWorker atomically detaches worker w's buffered events and returns
-// them oldest first, leaving the ring empty. Unlike Events it is safe
-// while the traced pool runs: the worker's in-flight record (at most one
-// event) is the only event a cut can lose. Cutting is destructive — the
-// returned events are no longer in the ring.
-func (t *Tracer) CutWorker(w int) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rings[w].cut()
-}
-
-// Cut cuts every worker's ring and returns the merged, time-sorted
-// events — the flight-recorder dump primitive. Like CutWorker it is safe
-// and destructive while the pool runs, losing at most one in-flight
-// event per worker.
+// Cut detaches every worker's buffered events, leaving the rings empty,
+// and returns them merged and time-sorted — the flight-recorder dump
+// primitive. Unlike Events it is safe while the traced pool runs: each
+// worker's in-flight record (at most one event) is the only event a cut
+// can lose. Cutting is destructive — the returned events are no longer
+// in the rings.
 func (t *Tracer) Cut() []Event {
 	t.mu.Lock()
 	var out []Event

@@ -97,17 +97,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := New(1, 4)
-	for i := 0; i < 10; i++ {
-		tr.Record(0, Event{Type: EvTaskBegin, Time: int64(i)})
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Drops() != 0 {
-		t.Errorf("after Reset: %d events, %d drops, want 0/0", len(tr.Events()), tr.Drops())
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	tr := New(2, 64)
 	// Worker 0: a task with a wait; worker 1 steals from it.

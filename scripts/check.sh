@@ -51,9 +51,13 @@
 #      waits brought from 1.5 on these two kernels to about 1.1
 #      (EXPERIMENTS.md, "The idle worker").
 #   8. go run ./bench -workload all -smoke           benchmark harness smoke
+#      go run ./bench -workload spawn -smoke -trace 1
 #      Every path of the harness that judges PRs (BENCHMARK.json), at tiny
-#      sizes (~5 s); it measures nothing, but a change that breaks what
-#      bench/ calls or one of its correctness gates fails here.
+#      sizes (~5 s, then ~3 s traced); it measures nothing, but a change
+#      that breaks what bench/ calls or one of its correctness gates fails
+#      here. Only the traced run reaches the per-layer battery: the three
+#      cluster.ParsePolicy router names, the flight recorder's Wants,
+#      Record and Dump, and a /metrics render.
 #
 # Watchdog flight-recorder dumps written during the run (any test whose
 # watchdog fires without an explicit DumpDir) land in $ADWS_FR_DIR,
@@ -96,5 +100,8 @@ ADWS_BENCH_SMOKE=1 go test ./internal/kernels/ -run 'TestKernelBalanceSmoke' -co
 
 echo "==> go run ./bench -workload all -smoke   (benchmark harness smoke)"
 go run ./bench -workload all -smoke
+
+echo "==> go run ./bench -workload spawn -smoke -trace 1   (traced harness smoke: the per-layer battery)"
+go run ./bench -workload spawn -smoke -trace 1
 
 echo "OK: all checks passed"
