@@ -3,8 +3,10 @@ package adws
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,5 +237,63 @@ func TestSubmitMatchesRunFourWorkers(t *testing.T) {
 	}
 	if len(workers) != 4 {
 		t.Errorf("tasks ran on %d workers, want all 4", len(workers))
+	}
+}
+
+// TestNestedPanicDoesNotWedgePool submits a job whose root spawns two
+// children, one of which panics inside the root's helping wait, and then
+// 100 empty jobs: the first job must fail with the panic, and the worker
+// it unwound through must go on claiming roots.
+func TestNestedPanicDoesNotWedgePool(t *testing.T) {
+	for _, s := range []Scheduler{ADWS, WorkStealing} {
+		for n := 2; n <= 4; n++ {
+			t.Run(fmt.Sprintf("%v/w%d", s, n), func(t *testing.T) {
+				p, err := NewPool(WithScheduler(s), WithWorkers(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				wait := func(j *Job) error {
+					ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+					defer cancel()
+					return j.Wait(ctx)
+				}
+
+				j, err := p.Submit(context.Background(), func(c *Ctx) error {
+					root := c.Worker()
+					var panicked atomic.Bool
+					g := c.Group(GroupHint{Work: 2})
+					for i := 0; i < 2; i++ {
+						g.Spawn(1, func(c *Ctx) {
+							// Only a child nested in the root's wait may
+							// panic: on a thief's stack no recover catches it.
+							if c.Worker() == root && panicked.CompareAndSwap(false, true) {
+								panic("boom")
+							}
+						})
+					}
+					g.Wait()
+					panic("boom") // both children were stolen
+				}, JobHint{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := wait(j); err == nil || err.Error() != "job 1 panicked: boom" {
+					t.Fatalf("job 1: err = %v, want job 1 panicked: boom", err)
+				}
+				if st := j.State(); st != JobFailed {
+					t.Fatalf("job 1: state = %v, want JobFailed", st)
+				}
+				for i := 0; i < 100; i++ {
+					j, err := p.Submit(context.Background(), func(*Ctx) error { return nil }, JobHint{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := wait(j); err != nil {
+						t.Fatalf("job %d after the panic: %v", j.ID(), err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -108,7 +108,7 @@ func ClusterOf(policy string, pools ...*Pool) (*Cluster, error) {
 // chosen pool (ErrOverloaded, ErrDraining, ErrPoolClosed) propagate
 // wrapped with the pool id.
 func (c *Cluster) Submit(ctx context.Context, key string, fn func(*Ctx) error, h JobHint) (*ClusterJob, error) {
-	return c.cl.Submit(ctx, cluster.Request{Key: key, Work: h.Work, Class: h.Class}, fn, h)
+	return c.cl.Submit(ctx, cluster.Request{Key: key, Work: h.Work}, fn, h)
 }
 
 // NumPools returns the pool count.

@@ -154,13 +154,11 @@ func (c *Cluster) Snapshots() []Snapshot {
 	for i, p := range c.pools {
 		q, r := p.InFlight()
 		snaps[i] = Snapshot{
-			Pool:             i,
-			Workers:          p.Workers(),
-			Queued:           q,
-			Running:          r,
-			QueuedByClass:    p.QueuedByClass(),
-			MaxQueue:         p.Config().MaxQueue,
-			OldestQueueAgeNS: int64(p.OldestQueueAge()),
+			Pool:     i,
+			Workers:  p.Workers(),
+			Queued:   q,
+			Running:  r,
+			MaxQueue: p.Config().MaxQueue,
 		}
 	}
 	return snaps

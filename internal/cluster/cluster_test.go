@@ -371,7 +371,7 @@ func TestWorkersAndInFlight(t *testing.T) {
 
 // TestClassLedger pins the per-class routing ledger: admitted jobs count
 // under their server-normalized class per pool, Totals merges the maps,
-// snapshots break queued depth down by class, and the
+// each pool's QueuedByClass breaks its queued depth down by class, and the
 // adws_cluster_routed_by_class_total family renders validly.
 func TestClassLedger(t *testing.T) {
 	c := newTestCluster(t, 2, NewRoundRobin())
@@ -379,7 +379,7 @@ func TestClassLedger(t *testing.T) {
 	c.RegisterMetrics(reg)
 	jobs := []*Job{}
 	for i, class := range []string{server.ClassBatch, server.ClassInteractive, "", server.ClassBatch} {
-		j, err := c.Submit(context.Background(), Request{Key: "k", Class: class},
+		j, err := c.Submit(context.Background(), Request{Key: "k"},
 			spinBody, server.Hint{Class: class, Work: float64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -410,17 +410,18 @@ func TestClassLedger(t *testing.T) {
 		t.Errorf("ledger mutated through RouteCounts copy: batch = %d", got)
 	}
 
-	snaps := c.Snapshots()
-	for _, s := range snaps {
-		if s.QueuedByClass == nil {
-			t.Fatalf("snapshot %d missing QueuedByClass", s.Pool)
+	for i := 0; i < c.NumPools(); i++ {
+		p := c.PoolAt(i)
+		byClass := p.QueuedByClass()
+		if byClass == nil {
+			t.Fatalf("pool %d: QueuedByClass is nil", i)
 		}
 		sum := 0
-		for _, n := range s.QueuedByClass {
+		for _, n := range byClass {
 			sum += n
 		}
-		if sum != s.Queued {
-			t.Errorf("pool %d: class breakdown sums to %d, Queued = %d", s.Pool, sum, s.Queued)
+		if q, _ := p.InFlight(); sum != q {
+			t.Errorf("pool %d: class breakdown sums to %d, Queued = %d", i, sum, q)
 		}
 	}
 

@@ -14,10 +14,6 @@ type Request struct {
 	Key string
 	// Work is the job's relative work hint (<= 0 is treated as 1).
 	Work float64
-	// Class is the job's priority class name (may be empty: the landing
-	// pool applies its default). Routers may use it to keep
-	// latency-critical classes off backlogged pools.
-	Class string
 }
 
 // Snapshot is one pool's live load at routing time. The slice index
@@ -33,17 +29,9 @@ type Snapshot struct {
 	// reporting, so absorbing a burst of expired work does not skew the
 	// load figure routers compare.
 	Queued, Running int
-	// QueuedByClass breaks Queued down by priority class, so routers see
-	// whether a pool's backlog is latency-critical or batch.
-	QueuedByClass map[string]int
 	// MaxQueue is the pool's admission-queue capacity: a pool with
 	// Queued >= MaxQueue would fast-reject the submission.
 	MaxQueue int
-	// OldestQueueAgeNS is how long the pool's oldest still-admissible
-	// queued job has waited, in nanoseconds (0 with an empty queue). A
-	// pool whose backlog is merely deep differs from one whose backlog is
-	// old: the latter is starving, and health surfaces report it.
-	OldestQueueAgeNS int64
 }
 
 // load is the per-worker pending load the least-loaded and affinity

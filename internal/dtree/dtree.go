@@ -96,9 +96,8 @@ func (t *Tree) Accuracy(ds *dataset.Dataset, rows []int32) float64 {
 
 // trainer carries the shared training state.
 type trainer struct {
-	cfg  Config
-	ds   *dataset.Dataset
-	pool *adws.Pool
+	cfg Config
+	ds  *dataset.Dataset
 	// rowBytes is the per-row working-set contribution for size hints.
 	rowBytes int64
 	// attrBounds caches each attribute's global [min,max] for histogram
@@ -112,7 +111,7 @@ func Train(pool *adws.Pool, ds *dataset.Dataset, rows []int32, cfg Config) *Tree
 		cfg = DefaultConfig()
 	}
 	cfg.CutoffRows = min(cfg.CutoffRows, cfg.LoopCutoffRows)
-	tr := &trainer{cfg: cfg, ds: ds, pool: pool, rowBytes: int64(ds.Attrs) * 8}
+	tr := &trainer{cfg: cfg, ds: ds, rowBytes: int64(ds.Attrs) * 8}
 	tr.attrBounds = make([][2]float64, ds.Attrs)
 	for a := 0; a < ds.Attrs; a++ {
 		lo, hi := tr.attrRange(a)

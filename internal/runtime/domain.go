@@ -48,7 +48,6 @@ type entity struct {
 	inbox  sched.QueueSet[*task] //adws:locked(mu)
 	nInbox atomic.Int32          // inbox.Len(), written under mu
 
-	cache    *mlCache
 	workerID int // fixed acting worker, or -1 for cache-level entities
 
 	// lastGroup anchors the dominant-group walk for steals on behalf of
@@ -59,8 +58,8 @@ type entity struct {
 	lastGroup atomic.Pointer[sched.GroupNode]
 }
 
-func newEntity(d *domain, idx int, mc *mlCache, workerID int) *entity {
-	e := &entity{dom: d, idx: idx, cache: mc, workerID: workerID, deepest: -1}
+func newEntity(d *domain, idx, workerID int) *entity {
+	e := &entity{dom: d, idx: idx, workerID: workerID, deepest: -1}
 	e.rings.Store(new([]*deque.Deque[task]))
 	return e
 }

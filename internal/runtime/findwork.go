@@ -24,10 +24,10 @@ import (
 func (w *worker) findTask(g *taskGroup) *task {
 	cands := w.candidates()
 	// Claim a freshly submitted root task if we act for its owner entity.
-	// Only the top-level scheduler loop claims roots (execDepth == 0):
-	// starting a new root inside a helping wait would trap the waiting
-	// group behind the whole new computation.
-	if w.execDepth == 0 && w.pool.rootN.Load() > 0 {
+	// Only the top of the scheduler loop (g nil) claims roots: starting a
+	// new root inside a helping wait would trap the waiting group behind
+	// the whole new computation.
+	if g == nil && w.pool.rootN.Load() > 0 {
 		if t := w.pool.claimRoot(cands); t != nil {
 			w.noteStart(t.ent, t)
 			return t

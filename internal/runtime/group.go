@@ -22,13 +22,8 @@ type GroupHint struct {
 // Wait for all of them; a task may open several groups sequentially but
 // they must not overlap.
 func (c *Ctx) Group(h GroupHint) *TaskGroup {
-	p := c.pool
-	g := &taskGroup{
-		pool:    p,
-		parent:  c,
-		workAll: h.Work,
-		size:    h.Size,
-	}
+	p := c.w.pool
+	g := &taskGroup{pool: p, parent: c}
 	g.waiter.Store(-1)
 
 	dom := c.cur.dom
@@ -40,9 +35,8 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 		}
 	}
 	g.dom = dom
-	g.adws = dom.adws
 
-	if g.adws {
+	if dom.adws {
 		g.GroupPlacement = sched.PlaceGroup(c.cur.group, c.cur.depth, c.cur.inMigration, rng, g.fresh)
 		if g.Local() {
 			// Work-first path: the task already runs on its range's owner.
@@ -84,7 +78,6 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 	if g.waited {
 		panic("runtime: Spawn on a task group that was already waited; open a new group with Ctx.Group")
 	}
-	g.spawned++
 	g.remaining.Add(1)
 	t := &task{fn: fn, pg: g, dom: g.dom, job: g.parent.cur.job,
 		sdepth: g.parent.cur.sdepth + 1}
@@ -92,7 +85,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 		t.seq = g.pool.taskSeq.Add(1)
 	}
 
-	if !g.adws {
+	if !g.dom.adws {
 		// Conventional help-first WS: push to the spawning entity's queue;
 		// the owner pops LIFO, thieves steal the oldest.
 		t.ent = g.ent
@@ -169,14 +162,14 @@ func (tg *TaskGroup) Wait() {
 		if ec.group != nil {
 			g.ent.lastGroup.Store(ec.group)
 		}
-		w.execute(ec)
+		w.execute(ec, false)
 	}
 
 	w.schedule(g)
 	// One stamp closes the wait: its idle stretch, the wake-to-run span of
 	// a wakeup by the group's last completion (the continuation is the work
 	// that wake delivered), and the exit event.
-	ts := w.markIdleEnd()
+	ts := w.markIdleEnd(true)
 	if w.wantEv(trace.EvWaitExit, c.cur.sdepth) {
 		if ts == 0 {
 			ts = now()

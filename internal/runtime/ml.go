@@ -41,7 +41,7 @@ func (p *Pool) initTopology() {
 		d := p.newDomain(m.NumWorkers(), 0)
 		d.level = m.MaxLevel()
 		for w := range d.entities {
-			d.entities[w] = newEntity(d, w, nil, w)
+			d.entities[w] = newEntity(d, w, w)
 			p.workers[w].self = d.entities[w : w+1 : w+1]
 		}
 		p.rootDom = d
@@ -66,7 +66,7 @@ func (p *Pool) newCacheDomain(row []*topology.Cache, offset int) *domain {
 	d.level = row[0].Level
 	for i, c := range row {
 		mc := p.ml.caches[c.Level][c.Index]
-		d.entities[i] = newEntity(d, i, mc, -1)
+		d.entities[i] = newEntity(d, i, -1)
 		mc.entity = d.entities[i]
 	}
 	return d
@@ -128,7 +128,7 @@ func (p *Pool) flattenLocked(w *worker, dec sched.MLDecision, g *taskGroup) *dom
 	d.level = p.machine.MaxLevel()
 	d.flattened = true
 	for i, ch := range dec.Caches {
-		d.entities[i] = newEntity(d, i, nil, ch.FirstWorker())
+		d.entities[i] = newEntity(d, i, ch.FirstWorker())
 	}
 	g.flattened = d
 	// Publish only after the domain is fully constructed: workers read

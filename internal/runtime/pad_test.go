@@ -56,11 +56,19 @@ func TestWorkerStatsLayout(t *testing.T) {
 }
 
 // taskGroup is allocated once per Ctx.Group under every policy, so its size
-// class is part of the spawn cost WS and ADWS share: 144 bytes is a malloc
-// size class and the next one is 160. Per-group state only cross-worker
+// class is part of the spawn cost WS and ADWS share: 128 bytes is a malloc
+// size class and the next one is 144. Per-group state only cross-worker
 // groups need (the Splitter) hangs off a pointer for that reason.
 func TestTaskGroupSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(taskGroup{}); got > 144 {
-		t.Errorf("Sizeof(taskGroup) = %d, want <= 144", got)
+	if got := unsafe.Sizeof(taskGroup{}); got > 128 {
+		t.Errorf("Sizeof(taskGroup) = %d, want <= 128", got)
+	}
+}
+
+// A Ctx is allocated for every task execute runs: two pointers, the
+// 16-byte size class.
+func TestCtxSize(t *testing.T) {
+	if got := unsafe.Sizeof(Ctx{}); got > 16 {
+		t.Errorf("Sizeof(Ctx) = %d, want <= 16", got)
 	}
 }

@@ -100,8 +100,8 @@ func TestCloseFailsUnclaimedRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	// The only worker is pinned inside j1's body (execDepth > 0 claims
-	// none), so j2 stays queued and unclaimed.
+	// The only worker is pinned inside j1's body (only the top of its
+	// scheduler loop claims roots), so j2 stays queued and unclaimed.
 	j2, err := p.SubmitRoot(func(c *Ctx) { t.Error("orphaned root ran") }, 0, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 const queueOwner = 0
 
 func newQueueEntity() *entity {
-	return newEntity(&domain{adws: true}, 0, nil, queueOwner)
+	return newEntity(&domain{adws: true}, 0, queueOwner)
 }
 
 // queueDepth draws a task depth: mostly shallow, now and then deep enough
@@ -159,7 +159,7 @@ func TestPushRoutesByPusher(t *testing.T) {
 	}
 	// A cache-level entity has no fixed worker: its leader changes, so no
 	// push may take a ring.
-	c := newEntity(&domain{adws: true}, 0, nil, -1)
+	c := newEntity(&domain{adws: true}, 0, -1)
 	c.push(queueOwner, &task{}, false)
 	if ringLen(c) != 0 || c.nInbox.Load() != 1 {
 		t.Errorf("cache-level primary: %d in rings, %d in inbox, want 0, 1", ringLen(c), c.nInbox.Load())

@@ -260,9 +260,6 @@ func (t *task) jobID() int64 {
 type taskGroup struct {
 	pool   *Pool
 	parent *Ctx
-	// hints
-	workAll float64
-	size    int64
 	// GroupPlacement holds the group's cross-worker tree node (nil for
 	// non-cross groups), its children's group, depth and queue family, and
 	// whether the group is worker-local (Local: children inherit the
@@ -287,30 +284,26 @@ type taskGroup struct {
 	// waiter is the worker id parked in this group's Wait (-1 none): the
 	// last child's completion wakes exactly that worker (park.go).
 	waiter atomic.Int32
-	// spawned counts Spawn calls (diagnostics).
-	spawned int
 	// tiedTo / flattened mirror the multi-level state.
 	tiedTo    *mlCache
 	flattened *domain
 	// fresh marks groups that opened a new domain.
 	fresh bool
-	adws  bool
 	// waited is set once Wait runs; further Spawn/Wait calls panic.
 	waited bool
 }
 
 // Ctx is the execution context a task body receives.
 type Ctx struct {
-	pool *Pool
-	w    *worker
-	cur  *task
+	w   *worker
+	cur *task
 }
 
 // Worker returns the executing worker's ID.
 func (c *Ctx) Worker() int { return c.w.id }
 
 // Pool returns the owning pool.
-func (c *Ctx) Pool() *Pool { return c.pool }
+func (c *Ctx) Pool() *Pool { return c.w.pool }
 
 // NewPool starts the workers.
 func NewPool(cfg Config) *Pool {
@@ -624,8 +617,6 @@ type worker struct {
 	// parkCh is the worker's one-slot wake semaphore (see park.go).
 	parkCh chan struct{}
 
-	// execDepth tracks nested execution via helping waits (owner-only).
-	execDepth int
 	// curJob and curStart are the live-introspection pair read lock-free
 	// by Pool.SchedSnapshot: the root-job ordinal of the task the worker
 	// is running and when it began running that job continuously
@@ -656,14 +647,14 @@ func (w *worker) markIdleStart() {
 
 // markIdleEnd closes the open idle stretch, if any, and returns its
 // closing stamp (0 when none was open). The stretch is charged to
-// waitIdleNS inside a helping wait and to idleNS at top level; a park
-// wakeup pending in it closes its wake-to-run span at the same stamp.
-func (w *worker) markIdleEnd() int64 {
+// waitIdleNS inside a helping wait (inWait) and to idleNS at top level; a
+// park wakeup pending in it closes its wake-to-run span at the same stamp.
+func (w *worker) markIdleEnd(inWait bool) int64 {
 	if w.idleSince == 0 {
 		return 0
 	}
 	ts := now()
-	if w.execDepth > 0 {
+	if inWait {
 		w.stats.waitIdleNS.Add(ts - w.idleSince)
 	} else {
 		w.stats.idleNS.Add(ts - w.idleSince)
@@ -700,8 +691,8 @@ func (w *worker) schedule(g *taskGroup) {
 			}
 		}
 		spins = 0
-		w.markIdleEnd()
-		w.execute(t)
+		w.markIdleEnd(g != nil)
+		w.execute(t, g == nil)
 	}
 }
 
@@ -742,16 +733,15 @@ func (w *worker) emit(ev trace.Event, fd int32) {
 	}
 }
 
-// execute runs one task to completion. An outermost task reads the clock
-// twice, and its busy span and begin/end events share those stamps; a
-// task nested in a helping wait reads it only for its events.
-func (w *worker) execute(t *task) {
+// execute runs one task to completion. An outermost task (outer: run by
+// the top of the scheduler loop) reads the clock twice, and its busy span
+// and begin/end events share those stamps; a task nested in a helping
+// wait reads it only for its events.
+func (w *worker) execute(t *task, outer bool) {
 	w.stats.tasks.Add(1)
 	if t.job != nil {
 		t.job.tasks.Add(1)
 	}
-	w.execDepth++
-	outer := w.execDepth == 1
 	var start, end int64
 	if outer {
 		start = now()
@@ -768,7 +758,7 @@ func (w *worker) execute(t *task) {
 			Task: t.seq, Job: t.jobID(), Depth: int32(t.depth),
 			RangeLo: t.rng.X, RangeHi: t.rng.Y}, t.sdepth)
 	}
-	c := &Ctx{pool: w.pool, w: w, cur: t}
+	c := &Ctx{w: w, cur: t}
 	t.fn(c)
 	if outer {
 		end = now()
@@ -781,7 +771,6 @@ func (w *worker) execute(t *task) {
 		w.emit(trace.Event{Type: trace.EvTaskEnd, Time: end,
 			Task: t.seq, Job: t.jobID(), Depth: int32(t.depth)}, t.sdepth)
 	}
-	w.execDepth--
 	w.pool.taskDone(t)
 }
 

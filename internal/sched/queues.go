@@ -189,14 +189,3 @@ func (q *QueueSet[T]) StealPrimaryWhere(minDepth int, pred func(T) bool) (T, boo
 	}
 	return zero, false
 }
-
-// StealAny takes any task regardless of depth restrictions, preferring the
-// oldest primary task at the shallowest depth (largest granularity). Used
-// by conventional random work stealing, where QueueSet degenerates to a
-// single deque at depth 0.
-func (q *QueueSet[T]) StealAny() (T, bool) {
-	if v, ok := q.StealPrimary(0); ok {
-		return v, true
-	}
-	return q.StealMigration(0)
-}

@@ -153,26 +153,6 @@ func TestQueueSetDepthRestriction(t *testing.T) {
 	}
 }
 
-func TestQueueSetStealAny(t *testing.T) {
-	var q QueueSet[int]
-	if _, ok := q.StealAny(); ok {
-		t.Error("StealAny on empty set succeeded")
-	}
-	q.PushMigration(1, 7)
-	q.PushPrimary(0, 5)
-	q.PushPrimary(0, 6)
-	// StealAny prefers the oldest primary task.
-	if v, _ := q.StealAny(); v != 5 {
-		t.Errorf("StealAny = %d, want 5", v)
-	}
-	if v, _ := q.StealAny(); v != 6 {
-		t.Errorf("StealAny = %d, want 6", v)
-	}
-	if v, _ := q.StealAny(); v != 7 {
-		t.Errorf("StealAny = %d, want 7 (migration fallback)", v)
-	}
-}
-
 func TestQueueSetCounters(t *testing.T) {
 	var q QueueSet[int]
 	q.PushPrimary(3, 1)

@@ -65,9 +65,6 @@ type Config struct {
 	// IgnoreWorkHints makes ADWS assume equal work for every child (the
 	// no-work-hints configuration of §6.4). Size hints are still honoured.
 	IgnoreWorkHints bool
-	// SBSigma and SBMu override the space-bounded scheduler parameters
-	// (defaults 0.5 and 0.2).
-	SBSigma, SBMu float64
 	// Tracer, if non-nil, receives the same scheduler event schema the
 	// real runtime emits (internal/trace), with virtual timestamps scaled
 	// by 1000, so simulated and real runs of one program are diffable.
@@ -217,8 +214,9 @@ type Engine struct {
 	taskSeq  int64
 
 	sb *sbState
-	// sbParks counts capacity waits (diagnostics).
-	sbParks int64
+	// sbSigma and sbMu are the space-bounded scheduler's σ and μ: the
+	// paper's 0.5 and 0.2 (§6.1), varied only by tests.
+	sbSigma, sbMu float64
 
 	rootTask    *Task
 	done        bool
@@ -242,16 +240,12 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Costs == (CostModel{}) {
 		cfg.Costs = DefaultCosts()
 	}
-	if cfg.SBSigma <= 0 {
-		cfg.SBSigma = 0.5
-	}
-	if cfg.SBMu <= 0 {
-		cfg.SBMu = 0.2
-	}
 	e := &Engine{
 		cfg:     cfg,
 		machine: cfg.Machine,
 		costs:   cfg.Costs,
+		sbSigma: 0.5,
+		sbMu:    0.2,
 	}
 	e.mem = NewMemory(cfg.Machine.NumNUMANodes(), cfg.NUMA)
 	e.hier = NewHierarchy(cfg.Machine, e.mem, &e.costs)
@@ -329,9 +323,9 @@ func (e *Engine) newCacheDomain(row []*topology.Cache, offset int) *domain {
 	return d
 }
 
-func (e *Engine) newTask(body Body, work float64) *Task {
+func (e *Engine) newTask(body Body) *Task {
 	e.taskSeq++
-	return &Task{id: e.taskSeq, body: body, workHint: work, execWorker: -1}
+	return &Task{id: e.taskSeq, body: body, execWorker: -1}
 }
 
 // wake brings an idle worker's pending poll forward to time t.
@@ -351,7 +345,7 @@ func (e *Engine) Run(root Body) RunResult {
 	e.resetProfile()
 	start := e.now
 	e.done = false
-	e.rootTask = e.newTask(root, 1)
+	e.rootTask = e.newTask(root)
 	// Seed the root task on entity 0 of the root domain (SB: worker 0).
 	if e.cfg.Mode == SB {
 		e.seedSBRoot(e.rootTask)
@@ -437,7 +431,6 @@ func (e *Engine) step(w *worker) {
 
 // complete finishes task t on worker w and propagates group completion.
 func (e *Engine) complete(w *worker, t *Task) {
-	t.state = taskDone
 	w.current = nil
 	w.tasksRun++
 	if tr := e.cfg.Tracer; tr != nil {
@@ -478,8 +471,6 @@ func (e *Engine) groupComplete(ag *activeGroup) {
 		e.unflatten(ag)
 	}
 	p := ag.parent
-	p.state = taskReady
-	p.waitingOn = nil
 	ow := e.workers[p.execWorker]
 	if tr := e.cfg.Tracer; tr != nil {
 		tr.Record(ow.id, trace.Event{Type: trace.EvWaitExit, Time: e.vt(),

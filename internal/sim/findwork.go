@@ -129,7 +129,8 @@ func (e *Engine) trySteal(w *worker, ent *entity, searched *float64) (*Task, boo
 		e.stealEvent(w, ev, nil)
 		return nil, false
 	}
-	// Conventional random work stealing.
+	// Conventional random work stealing. A WS domain's queues hold only
+	// depth-0 primaries (spawnWS), so the thief takes the oldest of those.
 	tries := sched.UniformTries(d.N)
 	if tries <= 0 {
 		return nil, false
@@ -141,7 +142,7 @@ func (e *Engine) trySteal(w *worker, ent *entity, searched *float64) (*Task, boo
 		v := sched.UniformVictim(w.rng, d.N, ent.idx)
 		ev.Type, ev.Victim = trace.EvStealAttempt, int32(v)
 		e.stealEvent(w, ev, nil)
-		if t, ok := d.entities[v].queues.StealAny(); ok {
+		if t, ok := d.entities[v].queues.StealPrimary(0); ok {
 			w.steals++
 			ev.Type = trace.EvStealSuccess
 			e.stealEvent(w, ev, t)
@@ -165,7 +166,6 @@ func (e *Engine) startTask(w *worker, t *Task, ent *entity, searched, oh float64
 		w.idleTime += searched
 	}
 	w.overheadTime += oh
-	t.state = taskRunning
 	t.execWorker = w.id
 	if ent != nil {
 		t.ent = ent

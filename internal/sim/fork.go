@@ -54,16 +54,12 @@ func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 		inline = e.spawnWS(w, t, ag, dom, parentEnt, &oh)
 	}
 
-	t.state = taskWaiting
-	t.waitingOn = ag
-	ag.dom = dom
 	w.overheadTime += oh
 	if tr := e.cfg.Tracer; tr != nil {
 		tr.Record(w.id, trace.Event{Type: trace.EvWaitEnter, Time: e.vt(),
 			Task: e.ordinal(t), Depth: int32(t.depth)})
 	}
 	if inline != nil {
-		inline.state = taskRunning
 		inline.execWorker = w.id
 		w.current = inline
 		if inline.group != nil && inline.ent != nil {
@@ -108,7 +104,7 @@ func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, par
 			rng = split.NextChild(hint)
 			kind = sched.Classify(rng, iExec)
 		}
-		child := e.newTask(cs.Body, cs.Work)
+		child := e.newTask(cs.Body)
 		child.dom = dom
 		child.rng = rng
 		child.group = pl.ChildGroup
@@ -159,7 +155,7 @@ func (e *Engine) spawnWS(w *worker, t *Task, ag *activeGroup, dom *domain, paren
 	var inline *Task
 	tasks := make([]*Task, len(spec.Children))
 	for k, cs := range spec.Children {
-		child := e.newTask(cs.Body, cs.Work)
+		child := e.newTask(cs.Body)
 		child.dom = dom
 		child.parentGroup = ag
 		child.ent = parentEnt

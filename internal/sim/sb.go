@@ -76,7 +76,7 @@ func (e *Engine) forkSB(w *worker, t *Task, spec *GroupSpec) {
 	}
 	tasks := make([]*Task, len(spec.Children))
 	for k, cs := range spec.Children {
-		child := e.newTask(cs.Body, cs.Work)
+		child := e.newTask(cs.Body)
 		child.parentGroup = ag
 		child.sbCache = t.sbCache
 		child.sbSize = cs.Size
@@ -93,15 +93,12 @@ func (e *Engine) forkSB(w *worker, t *Task, spec *GroupSpec) {
 	for k := len(tasks) - 1; k >= 1; k-- {
 		w.sbQueue.PushPrimary(0, tasks[k])
 	}
-	t.state = taskWaiting
-	t.waitingOn = ag
 	w.overheadTime += oh
 
 	// Work-first: try to run the first child now; it may anchor elsewhere
 	// or have to wait for capacity.
 	inline := tasks[0]
 	if e.sbPlace(w, inline) {
-		inline.state = taskRunning
 		inline.execWorker = w.id
 		w.current = inline
 	} else {
@@ -133,7 +130,7 @@ func (e *Engine) sbPlace(w *worker, t *Task) bool {
 // fits under σ, reserving capacity. Returns false if t was parked waiting
 // for capacity.
 func (e *Engine) sbAnchor(w *worker, t *Task) bool {
-	sigma, mu := e.cfg.SBSigma, e.cfg.SBMu
+	sigma, mu := e.sbSigma, e.sbMu
 	for !t.sbCache.IsLeaf() && t.sbSize > 0 {
 		children := t.sbCache.Children()
 		capC := children[0].Capacity
@@ -166,7 +163,6 @@ func (e *Engine) sbAnchor(w *worker, t *Task) bool {
 			}
 			// Every shared child is full: wait at the current cache until
 			// a reservation under it is released.
-			e.sbParks++
 			e.sbOf(t.sbCache).waitq = append(e.sbOf(t.sbCache).waitq, t)
 			return false
 		}
@@ -211,7 +207,7 @@ func (e *Engine) sbRelease(t *Task) {
 // sbRetryAnchor re-runs the anchoring descent for a waiting task without a
 // worker preference. Returns true if the task is now anchored and runnable.
 func (e *Engine) sbRetryAnchor(t *Task) bool {
-	sigma, mu := e.cfg.SBSigma, e.cfg.SBMu
+	sigma, mu := e.sbSigma, e.sbMu
 	progressed := false
 	for !t.sbCache.IsLeaf() && t.sbSize > 0 {
 		children := t.sbCache.Children()

@@ -61,7 +61,8 @@ func TestSBAnchoringRespectsSigma(t *testing.T) {
 		{0.5, false},
 		{0.8, true},
 	} {
-		eng := NewEngine(Config{Machine: m, Mode: SB, Seed: 1, SBSigma: tc.sigma, SBMu: 0.01})
+		eng := NewEngine(Config{Machine: m, Mode: SB, Seed: 1})
+		eng.sbSigma, eng.sbMu = tc.sigma, 0.01
 		seg := eng.Memory().Alloc("d", 5<<20)
 		anchored := false
 		eng.Run(func(b *B) {
@@ -80,7 +81,8 @@ func TestSBAnchoringRespectsSigma(t *testing.T) {
 		_ = anchored
 		// Direct check: replay anchoring logic.
 		task := &Task{sbSize: seg.Bytes(), sbCache: m.Root()}
-		eng2 := NewEngine(Config{Machine: m, Mode: SB, Seed: 1, SBSigma: tc.sigma, SBMu: 0.01})
+		eng2 := NewEngine(Config{Machine: m, Mode: SB, Seed: 1})
+		eng2.sbSigma, eng2.sbMu = tc.sigma, 0.01
 		eng2.sbAnchor(eng2.workers[0], task)
 		got := task.sbCache.Level > 0
 		if got != tc.wantAnchor {
@@ -94,7 +96,8 @@ func TestSBWaitsWhenFull(t *testing.T) {
 	// cannot both reserve one 8 MB cache; the scheduler must still finish
 	// by placing them on different caches or serializing.
 	m := topology.TwoLevel16()
-	eng := NewEngine(Config{Machine: m, Mode: SB, Seed: 5, SBSigma: 0.9, SBMu: 0.1})
+	eng := NewEngine(Config{Machine: m, Mode: SB, Seed: 5})
+	eng.sbSigma, eng.sbMu = 0.9, 0.1
 	segA := eng.Memory().Alloc("a", 6<<20)
 	segB := eng.Memory().Alloc("b", 6<<20)
 	res := eng.Run(func(b *B) {

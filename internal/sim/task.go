@@ -72,16 +72,6 @@ type ChildSpec struct {
 // Child is a convenience constructor.
 func Child(work float64, body Body) ChildSpec { return ChildSpec{Work: work, Body: body} }
 
-// taskState tracks a task through its life cycle.
-type taskState int
-
-const (
-	taskReady taskState = iota
-	taskRunning
-	taskWaiting
-	taskDone
-)
-
 // Task is a simulated task instance.
 type Task struct {
 	id   int64
@@ -90,11 +80,7 @@ type Task struct {
 	built bool
 	steps []step
 	// next is the index of the next step to execute.
-	next  int
-	state taskState
-
-	// workHint is the work hint this task was declared with.
-	workHint float64
+	next int
 
 	// Scheduling state.
 	// dom is the scheduling domain the task currently belongs to.
@@ -116,9 +102,6 @@ type Task struct {
 
 	// parent bookkeeping: the group instance this task is a child of.
 	parentGroup *activeGroup
-	// waitingOn is the group instance whose completion will resume this
-	// task (set while state == taskWaiting).
-	waitingOn *activeGroup
 	// execWorker is the worker currently (or last) executing the task; a
 	// suspended task resumes on this worker (its "stack" lives there).
 	execWorker int
@@ -148,8 +131,6 @@ type activeGroup struct {
 	remaining int
 	// node is the cross-worker group tree node (ADWS only, nil otherwise).
 	node *sched.GroupNode
-	// dom is the domain the children were spawned into.
-	dom *domain
 	// tiedTo is the cache this group was tied to under multi-level
 	// scheduling (nil if untied).
 	tiedTo *mlCache
