@@ -23,10 +23,11 @@ type GroupHint struct {
 // they must not overlap.
 func (c *Ctx) Group(h GroupHint) *TaskGroup {
 	p := c.w.pool
-	g := &taskGroup{pool: p, parent: c}
+	tg := &TaskGroup{g: taskGroup{pool: p, parent: c}}
+	g := &tg.g
 	g.waiter.Store(-1)
 
-	dom := c.cur.dom
+	dom := c.cur.ent.dom
 	rng := c.cur.rng
 	if p.policy.isML() && !dom.flattened {
 		if nd, nent := p.mlDecide(c.w, c.cur, h.Size, g); nd != nil {
@@ -41,7 +42,7 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 		if g.Local() {
 			// Work-first path: the task already runs on its range's owner.
 			g.ent = c.cur.ent
-			return &TaskGroup{g: g}
+			return tg
 		}
 		g.splitter = sched.NewSplitter(rng, h.Work)
 	}
@@ -49,7 +50,7 @@ func (c *Ctx) Group(h GroupHint) *TaskGroup {
 		g.ent = c.entityFor(dom, rng)
 	}
 	g.iExec = dom.LogicalOf(g.ent.idx)
-	return &TaskGroup{g: g}
+	return tg
 }
 
 // entityFor resolves the entity a task executes on behalf of.
@@ -57,29 +58,27 @@ func (c *Ctx) entityFor(dom *domain, rng sched.Range) *entity {
 	if dom.adws {
 		return dom.entities[dom.Physical(rng.Owner())]
 	}
-	// WS domains have no ranges; use the task's recorded entity, falling
-	// back to the worker's own slot in worker-level domains.
-	if c.cur.ent != nil && c.cur.ent.dom == dom {
-		return c.cur.ent
-	}
-	return dom.entities[c.w.id%len(dom.entities)]
+	// WS domains have no ranges: the group stays on the task's entity,
+	// which lies in dom (a group only changes domain through mlDecide).
+	return c.cur.ent
 }
 
-// TaskGroup is the public handle of a live task group.
+// TaskGroup is the public handle of a live task group. It holds the group
+// by value, so opening a group is one allocation.
 type TaskGroup struct {
-	g *taskGroup
+	g taskGroup
 }
 
 // Spawn adds a child task with the given work hint (w1..wN in Fig. 2b).
 // Spawn panics if the group was already waited: a TaskGroup is finished by
 // its Wait and cannot be reused (open a new group instead).
 func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
-	g := tg.g
+	g := &tg.g
 	if g.waited {
 		panic("runtime: Spawn on a task group that was already waited; open a new group with Ctx.Group")
 	}
 	g.remaining.Add(1)
-	t := &task{fn: fn, pg: g, dom: g.dom, job: g.parent.cur.job,
+	t := &task{fn: fn, pg: g, job: g.parent.cur.job,
 		sdepth: g.parent.cur.sdepth + 1}
 	if g.pool.tracer != nil || g.pool.flight.Wants(trace.EvTaskBegin, t.sdepth) {
 		t.seq = g.pool.taskSeq.Add(1)
@@ -143,7 +142,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 // done and the continuation is never buried under an unrelated subtree.
 // Wait finishes the group: calling Wait twice, or Spawn after Wait, panics.
 func (tg *TaskGroup) Wait() {
-	g := tg.g
+	g := &tg.g
 	if g.waited {
 		panic("runtime: Wait called twice on the same task group")
 	}

@@ -48,6 +48,24 @@ func TestLocalGroupAllocParity(t *testing.T) {
 	}
 }
 
+// TestSpawnAllocsPerTask pins the heap cost of a spawn. Each task of a
+// binary tree allocates its closure and its task (which carries its Ctx),
+// and each group is one TaskGroup per two tasks: 2.5 allocations per task,
+// plus the root's few (job, done channel, shard slots, root closure and
+// task). One more object per group (a taskGroup apart from its handle)
+// reads 3.0, one more per task (a Ctx per execution) 3.5.
+func TestSpawnAllocsPerTask(t *testing.T) {
+	const tasks = 1<<10 - 2 // spawnTree(c, 9)
+	const root = 8
+	for _, pol := range []Policy{WS, ADWS} {
+		got := treeAllocs(t, pol, 0, 0.5)
+		if got > 2.5*tasks+root {
+			t.Errorf("%v: %.0f allocs for a %d-task tree (%.2f per task), want <= 2.5 per task + %d",
+				pol, got, tasks, got/tasks, root)
+		}
+	}
+}
+
 // TestStolenLocalSubtreeStaysLocal steals a worker-local task on a
 // four-worker machine and checks the subtree under it: every group is
 // Local with no GroupNode, runs on the entity of the worker executing it,
@@ -70,7 +88,7 @@ func TestStolenLocalSubtreeStaysLocal(t *testing.T) {
 			return
 		}
 		tg := c.Group(GroupHint{Work: 2})
-		g := tg.g
+		g := &tg.g
 		groups.Add(1)
 		root := rootGroup.Load()
 		switch {
@@ -107,7 +125,7 @@ func TestStolenLocalSubtreeStaysLocal(t *testing.T) {
 
 	p.Run(func(c *Ctx) {
 		tg := c.Group(GroupHint{Work: 4})
-		rootGroup.Store(tg.g)
+		rootGroup.Store(&tg.g)
 		tg.Spawn(0.5, func(*Ctx) {})  // [3.5, 4)   → worker 3
 		tg.Spawn(1, func(*Ctx) {})    // [2.5, 3.5) → worker 2
 		tg.Spawn(1, func(*Ctx) {})    // [1.5, 2.5) → worker 1

@@ -82,7 +82,7 @@ func (p *Pool) mlDecide(w *worker, cur *task, size int64, g *taskGroup) (*domain
 	p.ml.Lock()
 	defer p.ml.Unlock()
 
-	dom := cur.dom
+	dom := cur.ent.dom
 	var span []*topology.Cache
 	if dom.adws && dom.caches != nil {
 		span = dom.FlattenSpan(cur.rng, dom.caches)

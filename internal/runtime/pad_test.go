@@ -55,20 +55,31 @@ func TestWorkerStatsLayout(t *testing.T) {
 	}
 }
 
-// taskGroup is allocated once per Ctx.Group under every policy, so its size
-// class is part of the spawn cost WS and ADWS share: 128 bytes is a malloc
-// size class and the next one is 144. Per-group state only cross-worker
-// groups need (the Splitter) hangs off a pointer for that reason.
+// A group is allocated once per Ctx.Group under every policy, as the
+// TaskGroup handle that holds the taskGroup by value, so its size class is
+// part of the spawn cost WS and ADWS share: 128 bytes is a malloc size
+// class and the next one is 144. Per-group state only cross-worker groups
+// need (the Splitter) hangs off a pointer for that reason.
 func TestTaskGroupSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(taskGroup{}); got > 128 {
-		t.Errorf("Sizeof(taskGroup) = %d, want <= 128", got)
+	if got := unsafe.Sizeof(TaskGroup{}); got > 128 {
+		t.Errorf("Sizeof(TaskGroup) = %d, want <= 128", got)
 	}
 }
 
-// A Ctx is allocated for every task execute runs: two pointers, the
-// 16-byte size class.
-func TestCtxSize(t *testing.T) {
-	if got := unsafe.Sizeof(Ctx{}); got > 16 {
-		t.Errorf("Sizeof(Ctx) = %d, want <= 16", got)
+// A task is allocated for every Spawn and carries the Ctx its body
+// receives, so its size class is what a task costs: 96 bytes is a malloc
+// size class and the next one is 112.
+func TestTaskSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(task{}); got > 96 {
+		t.Errorf("Sizeof(task) = %d, want <= 96", got)
+	}
+}
+
+// A job's task count has one slot per worker, bumped by that worker on
+// every task it runs for the job: consecutive slots must land on distinct
+// lines.
+func TestJobShardLayout(t *testing.T) {
+	if got := unsafe.Sizeof(jobShard{}); got != cacheLine {
+		t.Errorf("Sizeof(jobShard) = %d, want %d", got, cacheLine)
 	}
 }

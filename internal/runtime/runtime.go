@@ -177,7 +177,18 @@ type RootJob struct {
 	// e.g. the pool closed while the root was still unclaimed.
 	err atomic.Pointer[error]
 
-	tasks, steals, migrations atomic.Int64
+	// tasks holds one padded count per worker: every task bumps the slot
+	// of the worker that runs it, so two workers on one job do not bounce
+	// a cache line per task. Steals and migrations are rare and share one
+	// counter each.
+	tasks              []jobShard
+	steals, migrations atomic.Int64
+}
+
+// jobShard is one worker's task count for a job, padded to a cache line.
+type jobShard struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // ID returns the job's ordinal (1-based, unique per pool). Trace events of
@@ -211,7 +222,13 @@ func (j *RootJob) Range() sched.Range { return j.rng }
 
 // Tasks returns the number of the job's tasks executed so far. Safe to
 // read while the job runs.
-func (j *RootJob) Tasks() int64 { return j.tasks.Load() }
+func (j *RootJob) Tasks() int64 {
+	var n int64
+	for i := range j.tasks {
+		n += j.tasks[i].n.Load()
+	}
+	return n
+}
 
 // Steals returns the number of successful steals that moved one of the
 // job's tasks. Safe to read while the job runs.
@@ -226,8 +243,12 @@ type task struct {
 	fn func(*Ctx)
 	// pg is the group this task belongs to (nil for the root task).
 	pg *taskGroup
+	// ctx is the context the body receives. A task runs exactly once, so
+	// execute writes it once; groups the body opens point back at it.
+	ctx Ctx
 
-	dom         *domain
+	// ent is the entity the task executes on behalf of; its domain is the
+	// task's domain.
 	ent         *entity
 	rng         sched.Range
 	group       *sched.GroupNode
@@ -454,14 +475,14 @@ func (p *Pool) SubmitRoot(fn func(*Ctx), lo, hi float64) (*RootJob, error) {
 	}
 	d := p.rootDom
 	rng := d.Fraction(lo, hi)
-	j := &RootJob{id: p.jobSeq.Add(1), rng: rng, done: make(chan struct{})}
+	j := &RootJob{id: p.jobSeq.Add(1), rng: rng, done: make(chan struct{}),
+		tasks: make([]jobShard, len(p.workers))}
 	owner := d.entities[d.Physical(rng.Owner())]
 	root := &task{
 		fn: func(c *Ctx) {
 			fn(c)
 			close(j.done)
 		},
-		dom: d,
 		ent: owner,
 		rng: rng,
 		job: j,
@@ -740,7 +761,7 @@ func (w *worker) emit(ev trace.Event, fd int32) {
 func (w *worker) execute(t *task, outer bool) {
 	w.stats.tasks.Add(1)
 	if t.job != nil {
-		t.job.tasks.Add(1)
+		t.job.tasks[w.id].n.Add(1)
 	}
 	var start, end int64
 	if outer {
@@ -758,8 +779,8 @@ func (w *worker) execute(t *task, outer bool) {
 			Task: t.seq, Job: t.jobID(), Depth: int32(t.depth),
 			RangeLo: t.rng.X, RangeHi: t.rng.Y}, t.sdepth)
 	}
-	c := &Ctx{w: w, cur: t}
-	t.fn(c)
+	t.ctx = Ctx{w: w, cur: t}
+	t.fn(&t.ctx)
 	if outer {
 		end = now()
 		w.stats.busyNS.Add(end - start)

@@ -188,6 +188,51 @@ func TestRootJobCounters(t *testing.T) {
 	}
 }
 
+// TestRootJobTasksConserved runs eight jobs at once on four workers, so
+// the workers add to the jobs' per-worker task slots concurrently while
+// another goroutine reads them. Once all are done, each job counts exactly
+// its own tasks and the jobs together count every task the pool ran.
+func TestRootJobTasksConserved(t *testing.T) {
+	const jobs, n = 8, 2000
+	var treeTasks func(lo, hi int) int64
+	treeTasks = func(lo, hi int) int64 {
+		if hi-lo <= 4 {
+			return 1
+		}
+		mid := (lo + hi) / 2
+		return 1 + treeTasks(lo, mid) + treeTasks(mid, hi)
+	}
+	want := treeTasks(0, n)
+	for _, pol := range []Policy{ADWS, WS} {
+		p := newFlatPool(t, pol, 4)
+		roots := make([]*RootJob, jobs)
+		sums := make([]int64, jobs)
+		for i := range roots {
+			j, err := p.SubmitRoot(func(c *Ctx) { treeSum(c, 0, n, &sums[i], 0) },
+				float64(i)/jobs, float64(i+1)/jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots[i] = j
+		}
+		var live int64
+		for _, j := range roots {
+			live += j.Tasks() // concurrent with the workers' adds
+		}
+		var total int64
+		for i, j := range roots {
+			waitRoot(t, j)
+			if got := j.Tasks(); got != want || sums[i] != n*(n-1)/2 {
+				t.Errorf("%v job %d: tasks = %d, sum = %d; want %d, %d", pol, i, got, sums[i], want, n*(n-1)/2)
+			}
+			total += j.Tasks()
+		}
+		if st := p.Stats(); total != st.Tasks || live > total {
+			t.Errorf("%v: jobs count %d tasks (%d live), pool ran %d", pol, total, live, st.Tasks)
+		}
+	}
+}
+
 // TestSubmitRootAfterClose pins the documented ErrClosed error.
 func TestSubmitRootAfterClose(t *testing.T) {
 	p := NewPool(Config{Machine: topology.Flat(2, 32<<20, 1<<20), Policy: ADWS, Seed: 1})

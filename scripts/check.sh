@@ -18,17 +18,20 @@
 #   5. go test -race the root package + internal/sched + internal/runtime
 #      + internal/deque + internal/metrics + internal/obs + internal/trace
 #      + internal/server + internal/cluster + cmd/adwsd + internal/kernels
-#      + internal/dtree
+#      + internal/dtree + internal/workload
 #      The scheduler core's group tree (written by owners, read by
 #      thieves), the runtime's queues, the three packages that are
 #      lock-free by design (the Chase-Lev deque, the metrics registry, the
 #      flight recorder), the tracer's per-worker ring buffers, the
-#      job-serving admission path, the cluster's routing ledger, and the
+#      job-serving admission path, the cluster's routing ledger, the
 #      shared kernels.Partition (its tasks write disjoint count slots and
 #      disjoint buffer ranges; Quicksort, the kd-tree and the decision
-#      tree run it) are the places where a data race would silently
-#      corrupt results; the race detector is the authority on all of
-#      them.
+#      tree run it), and the serving job bodies (TestNewJobAllNames runs
+#      every body the serving benchmarks submit on four workers; in
+#      parFib and the kernels children write results the parent reads
+#      after Wait, the edge the runtime's task and group layout carries)
+#      are the places where a data race would silently corrupt results;
+#      the race detector is the authority on all of them.
 #   6. go test -run='^$' -bench=. -benchtime=1x ./...   benchmark smoke
 #      One iteration of every benchmark, so a refactor that breaks a
 #      benchmark harness (or deadlocks the parked-pool submit path) fails
@@ -88,8 +91,8 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/... ./internal/kernels/... ./internal/dtree/..."
-go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/... ./internal/kernels/... ./internal/dtree/...
+echo "==> go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/... ./internal/kernels/... ./internal/dtree/... ./internal/workload/..."
+go test -race . ./internal/sched/... ./internal/runtime/... ./internal/deque/... ./internal/metrics/... ./internal/obs/... ./internal/trace/... ./internal/server/... ./internal/cluster/... ./cmd/adwsd/... ./internal/kernels/... ./internal/dtree/... ./internal/workload/...
 
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./...   (benchmark smoke)"
 go test -run='^$' -bench=. -benchtime=1x ./...
